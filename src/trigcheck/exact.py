@@ -9,10 +9,14 @@ CLI and correctly rounded decimal output.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 
 Rat = Fraction
+
+# Ints of at most this many bits have at most 512 decimal digits, below the
+# smallest int-to-str digit limit CPython can be set to (640), so `str` on
+# them never raises, whatever the process-wide limit is.
+_STR_SAFE_BITS = 1700
 
 
 def parse_rational(text: str) -> Fraction:
@@ -40,7 +44,7 @@ def to_decimal(value: Fraction | int, digits: int) -> str:
     else:
         units = -((-2 * p + q) // (2 * q))
     sign = "-" if units < 0 else ""
-    text = str(abs(units))
+    text = _int_digits(abs(units))
     if digits == 0:
         return sign + text
     text = text.rjust(digits + 1, "0")
@@ -48,22 +52,22 @@ def to_decimal(value: Fraction | int, digits: int) -> str:
 
 
 def rat_str(value: Fraction) -> str:
-    """Render as "p/q", or plain "p" for integers.
+    """Render as "p/q", or plain "p" for integers, however many digits."""
+    num = _int_digits(value.numerator)
+    return num if value.denominator == 1 else f"{num}/{_int_digits(value.denominator)}"
 
-    Exact loop results can have more digits than CPython's int-to-str guard
-    allows by default; the limit is raised on demand rather than failing.
+
+def _int_digits(n: int) -> str:
+    """Decimal string of an int of any size.
+
+    CPython's `str` refuses ints past a process-wide digit limit (4300 by
+    default). Exact loop results can be longer, so large ints are split by
+    `divmod` with a power of ten into halves that are rendered separately.
     """
-    try:
-        num = str(value.numerator)
-        den = str(value.denominator)
-    except ValueError:
-        needed = max(_decimal_digit_bound(value.numerator),
-                     _decimal_digit_bound(value.denominator))
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), needed))
-        num = str(value.numerator)
-        den = str(value.denominator)
-    return num if den == "1" else f"{num}/{den}"
-
-
-def _decimal_digit_bound(n: int) -> int:
-    return n.bit_length() // 3 + 4
+    if n < 0:
+        return "-" + _int_digits(-n)
+    if n.bit_length() <= _STR_SAFE_BITS:
+        return str(n)
+    half = n.bit_length() * 3 // 20  # about half the decimal digits (log10 2 > 3/10)
+    high, low = divmod(n, 10**half)
+    return _int_digits(high) + _int_digits(low).rjust(half, "0")

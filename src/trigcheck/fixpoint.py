@@ -8,12 +8,16 @@ step while the exact result is in range, and they are exact whenever the
 exact result already lies on the grid. Because the step divides 1, every
 integer inside [inf, sup] is itself a grid value, which the series algorithms
 exploit for exact counter scaling.
+
+A value is stored as its integer multiple m of the step, so `*` and `/` work
+on integers alone: the range check compares the exact result's numerator with
+the scaled integer bounds, and the rounding is one `divmod` with ties to even.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FormatMismatch, RangeOverflow
@@ -29,6 +33,8 @@ class FixFormat:
     k: int
     inf: Fraction
     sup: Fraction
+    m_inf: int = field(init=False, compare=False, repr=False)
+    m_sup: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inf", Fraction(self.inf))
@@ -39,18 +45,12 @@ class FixFormat:
             raise ValueError("bounds must satisfy inf < 0 < sup")
         if (self.inf * self.k).denominator != 1 or (self.sup * self.k).denominator != 1:
             raise ValueError("inf and sup must be multiples of the step 1/k")
+        object.__setattr__(self, "m_inf", int(self.inf * self.k))
+        object.__setattr__(self, "m_sup", int(self.sup * self.k))
 
     @property
     def step(self) -> Fraction:
         return Fraction(1, self.k)
-
-    @property
-    def m_inf(self) -> int:
-        return int(self.inf * self.k)
-
-    @property
-    def m_sup(self) -> int:
-        return int(self.sup * self.k)
 
     def in_range(self, value: Fraction) -> bool:
         return self.inf <= value <= self.sup
@@ -102,7 +102,7 @@ class FixFormat:
         return f"1/{self.k}:[{rat_str(self.inf)},{rat_str(self.sup)}]"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FixNum:
     """A grid value m * (1/k). Arithmetic follows the format's rounding rules."""
 
@@ -120,7 +120,7 @@ class FixNum:
     def _require_same_format(self, other: FixNum) -> None:
         if not isinstance(other, FixNum):
             raise TypeError(f"expected FixNum, got {type(other).__name__}")
-        if other.fmt != self.fmt:
+        if other.fmt is not self.fmt and other.fmt != self.fmt:
             raise FormatMismatch(f"operand formats differ: {self.fmt} vs {other.fmt}")
 
     def _exact_result(self, m: int, op: str) -> FixNum:
@@ -143,20 +143,26 @@ class FixNum:
         return self if self.m >= 0 else -self
 
     def __mul__(self, other: FixNum) -> FixNum:
+        # the exact product is p/k^2, in range iff m_inf*k <= p <= m_sup*k
         self._require_same_format(other)
-        exact = Fraction(self.m * other.m, self.fmt.k**2)
-        if not self.fmt.in_range(exact):
-            raise RangeOverflow(f"exact product {exact} leaves range")
-        return self.fmt.from_rat(exact)
+        fmt = self.fmt
+        k = fmt.k
+        p = self.m * other.m
+        if not (fmt.m_inf * k <= p <= fmt.m_sup * k):
+            raise RangeOverflow(f"exact product {Fraction(p, k * k)} leaves range")
+        return FixNum(_round_half_even(p, k), fmt)
 
     def __truediv__(self, other: FixNum) -> FixNum:
+        # the exact quotient is p/q with q > 0, in range iff m_inf*q <= k*p <= m_sup*q
         self._require_same_format(other)
         if other.m == 0:
             raise ZeroDivisionError("fix-point division by zero")
-        exact = Fraction(self.m, other.m)
-        if not self.fmt.in_range(exact):
-            raise RangeOverflow(f"exact quotient {exact} leaves range")
-        return self.fmt.from_rat(exact)
+        fmt = self.fmt
+        p, q = (self.m, other.m) if other.m > 0 else (-self.m, -other.m)
+        kp = fmt.k * p
+        if not (fmt.m_inf * q <= kp <= fmt.m_sup * q):
+            raise RangeOverflow(f"exact quotient {Fraction(p, q)} leaves range")
+        return FixNum(_round_half_even(kp, q), fmt)
 
     def __floor__(self) -> int:
         return self.m // self.fmt.k
@@ -187,6 +193,14 @@ class FixNum:
         sign = "-" if self.m < 0 else ""
         text = str(abs(self.m)).rjust(digits + 1, "0")
         return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+def _round_half_even(p: int, q: int) -> int:
+    """The integer nearest to p/q for q > 0, ties to the even one."""
+    d, r = divmod(p, q)
+    if 2 * r > q or (2 * r == q and d % 2):
+        d += 1
+    return d
 
 
 def _power_of_ten_exponent(k: int) -> int | None:

@@ -38,11 +38,16 @@ ORACLE_SLACK_DIVISOR = 1000  # reference values are computed at eps/1000
 
 @dataclass(frozen=True)
 class FixAlgoResult:
-    """Fix-point result, its term count n, and the a-priori error cap."""
+    """Fix-point result, its term count n, and the a-priori error cap.
+
+    `reference` is the exact-series value at slack eps/ORACLE_SLACK_DIVISOR
+    that the headline check compared `value` with; `as_dict` leaves it out.
+    """
 
     value: FixNum
     n: int
     a_priori_bound: Fraction
+    reference: Fraction
 
     def as_dict(self, digits: int = 12) -> dict:
         return {
@@ -213,9 +218,6 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     eps_r = eps.to_rat()
     shift = 1 if odd else 0
     one = fmt.from_int(1)
-    q = (1 + delta) / 2
-    gap_cap = Fraction(3, 2) * delta / (1 - delta)
-    first_gap_cap = Fraction(3, 4) * delta
 
     k = 1
     try:
@@ -232,43 +234,50 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         exc.iteration = k
         raise
 
-    # exact twin, with the term carried signed so the gap is a plain difference
-    acc_e = x_r if odd else Fraction(1)
-    tc_e = -(x_r * x_r) * (x_r if odd else 1) / (6 if odd else 2)
+    # exact twin; its counter is checked on every run, its term (carried
+    # signed, so the gap is a plain difference) and sum only feed the trace
     ep_e = (-6 if odd else -2) * eps_r
+    if with_trace:
+        acc_e = x_r if odd else Fraction(1)
+        tc_e = -(x_r * x_r) * (x_r if odd else 1) / (6 if odd else 2)
+        q = (1 + delta) / 2
+        gap_cap = Fraction(3, 2) * delta / (1 - delta)
+        first_gap_cap = Fraction(3, 4) * delta
 
     records: list[TraceRecord] = []
     while True:
-        fact = math.factorial(2 * k + shift)
-        _invariant(epfp.to_rat() == fact * eps_r, name,
+        fact_eps = math.factorial(2 * k + shift) * eps_r
+        ep_fix = epfp.to_rat()
+        _invariant(ep_fix == fact_eps, name,
                    "counter stays an exact factorial multiple of eps")
-        _invariant(ep_e == (1 if k % 2 == 0 else -1) * fact * eps_r, name,
+        _invariant(ep_e == (fact_eps if k % 2 == 0 else -fact_eps), name,
                    "exact counter matches its invariant")
-        _invariant(epfp.to_rat() == abs(ep_e), name,
+        _invariant(ep_fix == abs(ep_e), name,
                    "fix-point and exact counters agree")
         guard = epfp < one
         _invariant(guard == (abs(ep_e) < 1), name, "loop guards agree (lockstep)")
         if not guard:
             break
-        head = (k, tc_e, acc_e, tcfp.to_rat(), accfp.to_rat(),
-                tcfp.to_rat() - tc_e, gap_cap * (1 - q ** (2 * k - 1)),
-                ep_e, epfp.to_rat())
+        if with_trace:
+            head = (k, tc_e, acc_e, tcfp.to_rat(), accfp.to_rat(),
+                    tcfp.to_rat() - tc_e, gap_cap * (1 - q ** (2 * k - 1)),
+                    ep_e, ep_fix)
+            acc_e = acc_e + tc_e
         try:
             accfp = accfp + tcfp
-            acc_e = acc_e + tc_e
             k += 1
             fac1 = 2 * k + shift - 1   # 2k-1 for cosine, 2k for sine
             fac2 = 2 * k + shift       # 2k for cosine, 2k+1 for sine
             tcfp_half = tcfp * (x / fmt.from_int(fac1))
-            tc_half = tc_e * x_r / fac1
             tcfp = (-tcfp_half) * (x / fmt.from_int(fac2))
-            tc_e = -tc_half * x_r / fac2
             epfp = fmt.from_int(fac2) * (fmt.from_int(fac1) * epfp)
-            ep_e = -ep_e * fac1 * fac2
         except RangeOverflow as exc:
             exc.iteration = k
             raise
+        ep_e = -ep_e * fac1 * fac2
         if with_trace:
+            tc_half = tc_e * x_r / fac1
+            tc_e = -tc_half * x_r / fac2
             half = HalfStep(tc_half, tcfp_half.to_rat(), tcfp_half.to_rat() - tc_half)
             records.append(TraceRecord(*head, half=half))
 
@@ -283,7 +292,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         raise BoundViolation("headline", detail=(
             f"{name}: observed {to_decimal(observed, 12)} > cap "
             f"{to_decimal(bound + slack, 12)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
-    result = FixAlgoResult(accfp, n, bound)
+    result = FixAlgoResult(accfp, n, bound, reference)
     if with_trace:
         _check_trace(records, n, delta, q, gap_cap, first_gap_cap,
                      observed, eps_r, slack)

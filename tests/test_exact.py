@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,3 +108,30 @@ def test_rat_str_handles_huge_values():
     text = rat_str(huge)
     assert text.endswith("/3")
     assert len(text) > 4300
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Pin CPython's int-to-str digit limit at its default (4300) for one test."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-to-str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_to_decimal_renders_past_the_digit_limit(default_digit_limit):
+    assert to_decimal(Fraction(1, 3), 5000) == "0." + "3" * 5000
+    assert to_decimal(Fraction(-2, 3), 5000) == "-0." + "6" * 4999 + "7"
+
+
+def test_rat_str_renders_past_the_digit_limit(default_digit_limit):
+    assert rat_str(Fraction(10**5000 - 1, 7)) == "9" * 5000 + "/7"
+    assert rat_str(Fraction(-(10**5000) - 1)) == "-1" + "0" * 4999 + "1"
+
+
+def test_rendering_leaves_the_digit_limit_alone(default_digit_limit):
+    rat_str(Fraction(2**30000 + 1, 3))
+    to_decimal(Fraction(1, 7), 9000)
+    assert sys.get_int_max_str_digits() == 4300

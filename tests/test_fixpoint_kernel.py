@@ -1,0 +1,122 @@
+"""The integer FixNum `*`/`/` kernel against the exact-rational path it replaced.
+
+`fraction_mul`/`fraction_div` are the reference: they form the exact
+rational result, range-check it with `in_range`, and round it with
+`from_rat`. The kernel must give the same grid value, or raise the same
+exception with the same message, on every operand pair.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from trigcheck import FixFormat, FixNum
+from trigcheck.errors import FormatMismatch, RangeOverflow
+
+FORMATS = (
+    FixFormat(3, Fraction(-2), Fraction(5)),                  # odd k
+    FixFormat(5, Fraction(-1), Fraction(3)),                  # odd k
+    FixFormat(10, Fraction(-2), Fraction(2)),                 # even k
+    FixFormat(10, Fraction(-3, 10), Fraction(7, 5)),          # bounds off the integers
+    FixFormat(256, Fraction(-8), Fraction(64)),               # even k
+    FixFormat(2**40, Fraction(-8), Fraction(1024)),
+)
+
+
+def fraction_mul(a: FixNum, b: FixNum) -> FixNum:
+    exact = Fraction(a.m * b.m, a.fmt.k**2)
+    if not a.fmt.in_range(exact):
+        raise RangeOverflow(f"exact product {exact} leaves range")
+    return a.fmt.from_rat(exact)
+
+
+def fraction_div(a: FixNum, b: FixNum) -> FixNum:
+    if b.m == 0:
+        raise ZeroDivisionError("fix-point division by zero")
+    exact = Fraction(a.m, b.m)
+    if not a.fmt.in_range(exact):
+        raise RangeOverflow(f"exact quotient {exact} leaves range")
+    return a.fmt.from_rat(exact)
+
+
+def outcome(fn, a: FixNum, b: FixNum):
+    try:
+        return fn(a, b)
+    except (RangeOverflow, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def anchors(fmt: FixFormat) -> list[int]:
+    """Multiples where range checks and rounding change: the bounds, the
+    roots of the product bounds, one unit, and zero."""
+    roots = [math.isqrt(fmt.m_sup * fmt.k), math.isqrt(-fmt.m_inf * fmt.k)]
+    return [fmt.m_inf, fmt.m_sup, 0, fmt.k, -fmt.k, *roots, *(-r for r in roots)]
+
+
+def fixnums(fmt: FixFormat):
+    near = st.builds(lambda m, d: m + d, st.sampled_from(anchors(fmt)), st.integers(-3, 3))
+    anywhere = st.integers(fmt.m_inf, fmt.m_sup)
+    small = st.integers(-3 * fmt.k, 3 * fmt.k)
+    return st.one_of(near, anywhere, small).map(
+        lambda m: FixNum(min(max(m, fmt.m_inf), fmt.m_sup), fmt))
+
+
+def operand_pairs():
+    return st.sampled_from(FORMATS).flatmap(lambda fmt: st.tuples(fixnums(fmt), fixnums(fmt)))
+
+
+@settings(max_examples=500)
+@given(operand_pairs())
+def test_mul_matches_fraction_path(pair):
+    a, b = pair
+    assert outcome(FixNum.__mul__, a, b) == outcome(fraction_mul, a, b)
+
+
+@settings(max_examples=500)
+@given(operand_pairs())
+def test_div_matches_fraction_path(pair):
+    a, b = pair
+    assert outcome(FixNum.__truediv__, a, b) == outcome(fraction_div, a, b)
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=str)
+def test_kernel_matches_fraction_path_at_anchors(fmt):
+    values = [FixNum(min(max(m + d, fmt.m_inf), fmt.m_sup), fmt)
+              for m in anchors(fmt) for d in (-1, 0, 1)]
+    for a in values:
+        for b in values:
+            assert outcome(FixNum.__mul__, a, b) == outcome(fraction_mul, a, b)
+            assert outcome(FixNum.__truediv__, a, b) == outcome(fraction_div, a, b)
+
+
+def test_format_identity_unchanged_by_cached_bounds():
+    fmt = FixFormat(256, Fraction(-8), Fraction(64))
+    twin = FixFormat.parse("1/256:[-8,64]")
+    assert fmt == twin and fmt is not twin
+    assert fmt != FixFormat(256, Fraction(-8), Fraction(32))
+    assert hash(fmt) == hash(twin) == hash((256, Fraction(-8), Fraction(64)))
+    assert repr(fmt) == "FixFormat(k=256, inf=Fraction(-8, 1), sup=Fraction(64, 1))"
+    assert str(fmt) == "1/256:[-8,64]"
+    assert (fmt.m_inf, fmt.m_sup) == (-2048, 16384)
+    assert [f.name for f in dataclasses.fields(fmt) if f.compare] == ["k", "inf", "sup"]
+
+
+def test_equal_formats_mix_and_distinct_ones_do_not():
+    a = FixNum(3, FixFormat(10, Fraction(-2), Fraction(2)))
+    b = FixNum(4, FixFormat(10, Fraction(-2), Fraction(2)))
+    assert (a * b).m == 1 and (a + b).m == 7
+    with pytest.raises(FormatMismatch):
+        a * FixNum(4, FixFormat(10, Fraction(-2), Fraction(3)))
+
+
+def test_fixnum_is_slotted_and_frozen():
+    x = FixNum(1, FORMATS[0])
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        x.m = 2

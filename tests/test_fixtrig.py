@@ -76,6 +76,7 @@ def test_cos_fixpoint_hand_trace():
     assert result.n == 2
     assert result.a_priori_bound == Fraction(1, 4) + Fraction(3, 255)
     reference = cos_unbounded(Fraction(1, 2), Fraction(1, 4000))
+    assert result.reference == reference
     assert abs(result.value.to_rat() - reference) <= result.a_priori_bound
 
 
@@ -205,6 +206,7 @@ def test_fix_result_serialization():
     assert payload["decimal"] == "0.875000"
     assert payload["n"] == 2
     assert payload["format"] == "1/256:[-8,64]"
+    assert "reference" not in payload
 
 
 def test_bound_grows_as_grid_coarsens():
