@@ -1,0 +1,121 @@
+"""The series loops against the reference copies in `reference_series`.
+
+Values, iteration counts, exception types and exception messages must all
+match, on hypothesis draws and on anchor inputs: x = 0, +-1, +-3, eps equal
+to a term or to a stop-counter threshold (the `<` against `<=` ties), and
+eps >= 1 for the unbounded generators.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_series as ref
+from trigcheck import FixFormat, FixNum, fixtrig, oracle
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (ArithmeticError, ValueError) as exc:  # the precondition errors
+        return type(exc), str(exc)
+
+
+PAIRS = {
+    "cos_taylor": (oracle.cos_taylor, ref.cos_taylor),
+    "sin_taylor": (oracle.sin_taylor, ref.sin_taylor),
+    "cos_zerone": (oracle.cos_zerone, ref.cos_zerone),
+    "sin_zerone": (oracle.sin_zerone, ref.sin_zerone),
+    "cos_unbounded": (oracle.cos_unbounded, ref.cos_unbounded),
+    "sin_unbounded": (oracle.sin_unbounded, ref.sin_unbounded),
+}
+
+ANCHOR_X = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3), Fraction(-3)]
+ANCHOR_EPS = [
+    Fraction(1, 2),     # cos x=1: term_1 = 1/2 and (2)! * eps = 1
+    Fraction(1, 6),     # sin x=1: term_1 = 1/6 and (3)! * eps = 1
+    Fraction(1, 24),    # cos x=1: term_2
+    Fraction(1, 120),   # sin x=1: term_2
+    Fraction(9, 2),     # cos x=3: term_1
+    Fraction(81, 80),   # cos x=3: term_3
+    Fraction(27, 8),    # cos x=3: term_2
+    Fraction(1, 10**6),
+    Fraction(1, 10**300),  # past head 64, where the accumulator clause once stopped
+    Fraction(1),        # the unbounded loops stop before any term
+    Fraction(3),        # x=3: sin's term_0
+    Fraction(7, 3),
+    Fraction(0),
+    Fraction(-1, 2),
+]
+
+
+def assert_same(name, x, eps):
+    new, old = PAIRS[name]
+    assert outcome(new, x, eps) == outcome(old, x, eps), (name, x, eps)
+
+
+@pytest.mark.parametrize("name", sorted(PAIRS))
+def test_anchor_inputs(name):
+    for x in ANCHOR_X:
+        for eps in ANCHOR_EPS:
+            assert_same(name, x, eps)
+
+
+wide_rationals = st.builds(Fraction, st.integers(-8000, 8000), st.integers(1000, 3000))
+unit_rationals = st.builds(Fraction, st.integers(-1100, 1100), st.integers(1000, 1100))
+small_eps = st.builds(Fraction, st.integers(-2, 50), st.integers(1, 10**40))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=unit_rationals, eps=small_eps, name=st.sampled_from(sorted(PAIRS)))
+def test_unit_arguments(x, eps, name):
+    assert_same(name, x, eps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=wide_rationals, eps=st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**20)),
+       name=st.sampled_from(["cos_taylor", "sin_taylor", "cos_unbounded", "sin_unbounded"]))
+def test_wider_arguments(x, eps, name):
+    assert_same(name, x, eps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=small_eps)
+def test_term_counts(eps):
+    assert outcome(fixtrig.cos_term_count, eps) == outcome(ref.cos_term_count, eps)
+    assert outcome(fixtrig.sin_term_count, eps) == outcome(ref.sin_term_count, eps)
+
+
+FORMATS = [FixFormat.parse("1/256:[-8,64]"), FixFormat.parse("1/65536:[-8,1024]")]
+
+
+@settings(max_examples=120, deadline=None)
+@given(fmt=st.sampled_from(FORMATS), xm=st.integers(-65536, 65536),
+       em=st.integers(1, 255), odd=st.booleans())
+def test_tracer_exact_twin(fmt, xm, em, odd):
+    x = FixNum(xm * fmt.k // 65536, fmt)
+    eps = FixNum(em * fmt.k // 256, fmt)
+    tracer = fixtrig.paired_trace_sin if odd else fixtrig.paired_trace_cos
+    runner = fixtrig.sin_fixpoint if odd else fixtrig.cos_fixpoint
+    trace = tracer(x, eps)
+    exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.half.tc_half)
+             for r in trace.records]
+    assert exact == ref.exact_twin(x.to_rat(), eps.to_rat(), odd)
+    assert runner(x, eps) == trace.result
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_tracer_exact_twin_anchors(odd):
+    fmt = FixFormat.parse("1/40320:[-8,1024]")  # 8! puts every counter tie on the grid
+    tracer = fixtrig.paired_trace_sin if odd else fixtrig.paired_trace_cos
+    for x in (Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2)):
+        for eps in (Fraction(1, 2), Fraction(1, 6), Fraction(1, 24), Fraction(1, 120),
+                    Fraction(1, 40320)):
+            trace = tracer(fmt.exact(x), fmt.exact(eps))
+            exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.half.tc_half)
+                     for r in trace.records]
+            assert exact == ref.exact_twin(x, eps, odd)
