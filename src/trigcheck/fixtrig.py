@@ -31,7 +31,7 @@ from .errors import (
 )
 from .exact import rat_str, to_decimal
 from .fixpoint import FixFormat, FixNum
-from .oracle import cos_unbounded, sin_unbounded
+from .oracle import _heads, cos_unbounded, sin_unbounded
 
 ORACLE_SLACK_DIVISOR = 1000  # reference values are computed at eps/1000
 
@@ -128,30 +128,27 @@ def error_bound(n: int, delta: Fraction, eps: Fraction) -> Fraction:
     return eps + Fraction(3 * n, 2) * delta / (1 - delta)
 
 
-def cos_term_count(eps: Fraction) -> int:
-    """Least N >= 1 with (2N)! * eps >= 1."""
+def _term_count(eps: Fraction, odd: bool) -> int:
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
+    shift = 1 if odd else 0
     n = 1
-    fact = 2
+    fact = 6 if odd else 2
     while fact * eps < 1:
         n += 1
-        fact *= (2 * n - 1) * (2 * n)
+        fact *= (2 * n + shift - 1) * (2 * n + shift)
     return n
+
+
+def cos_term_count(eps: Fraction) -> int:
+    """Least N >= 1 with (2N)! * eps >= 1."""
+    return _term_count(eps, odd=False)
 
 
 def sin_term_count(eps: Fraction) -> int:
     """Least N >= 1 with (2N+1)! * eps >= 1."""
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    n = 1
-    fact = 6
-    while fact * eps < 1:
-        n += 1
-        fact *= (2 * n) * (2 * n + 1)
-    return n
+    return _term_count(eps, odd=True)
 
 
 def cos_fixpoint(x: FixNum, eps: FixNum) -> FixAlgoResult:
@@ -234,12 +231,12 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         exc.iteration = k
         raise
 
-    # exact twin; its counter is checked on every run, its term (carried
-    # signed, so the gap is a plain difference) and sum only feed the trace
+    # exact twin; its counter is checked on every run, its term (from the
+    # oracle's loop heads, carried signed so the gap is a plain difference)
+    # and sum only feed the trace
     ep_e = (-6 if odd else -2) * eps_r
     if with_trace:
-        acc_e = x_r if odd else Fraction(1)
-        tc_e = -(x_r * x_r) * (x_r if odd else 1) / (6 if odd else 2)
+        heads = _heads(x_r, odd)
         q = (1 + delta) / 2
         gap_cap = Fraction(3, 2) * delta / (1 - delta)
         first_gap_cap = Fraction(3, 4) * delta
@@ -259,10 +256,11 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         if not guard:
             break
         if with_trace:
+            _, sign, term, acc_e, _ = next(heads)
+            tc_e = term if sign > 0 else -term
             head = (k, tc_e, acc_e, tcfp.to_rat(), accfp.to_rat(),
                     tcfp.to_rat() - tc_e, gap_cap * (1 - q ** (2 * k - 1)),
                     ep_e, ep_fix)
-            acc_e = acc_e + tc_e
         try:
             accfp = accfp + tcfp
             k += 1
@@ -277,7 +275,6 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         ep_e = -ep_e * fac1 * fac2
         if with_trace:
             tc_half = tc_e * x_r / fac1
-            tc_e = -tc_half * x_r / fac2
             half = HalfStep(tc_half, tcfp_half.to_rat(), tcfp_half.to_rat() - tc_half)
             records.append(TraceRecord(*head, half=half))
 

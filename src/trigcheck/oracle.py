@@ -2,14 +2,20 @@
 
 Each routine executes its imperative loop over `Fraction` values and re-checks
 the loop-head invariant on every pass, raising InvariantViolation instead of
-returning a value the invariant no longer certifies. The `*_unbounded`
-functions are the golden-data generators: plain truncated Taylor sums, valid
-for any rational argument, used as ground truth everywhere else.
+returning a value the invariant no longer certifies. Every cos/sin loop, here
+and in the exact twin of the fix-point tracer, walks the loop heads of one
+Taylor recurrence, `_heads`, and differs from the others only in its stop
+rule. The Taylor and range-restricted (zerone) variants check each head with
+`_check_head`, whose accumulator clause compares against a partial sum of the
+definitional terms carried from head to head. The `*_unbounded` functions are
+the golden-data generators: plain truncated Taylor sums, valid for any
+rational argument, used as ground truth everywhere else; they check nothing.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,13 +26,6 @@ from .errors import (
     NonPositiveEps,
 )
 from .exact import rat_str, to_decimal
-
-# Heads beyond this index stop re-deriving the partial-sum clause from scratch
-# (that recheck is quadratic); the cheap clauses still run at every head and
-# the sum clause then holds inductively, because each accepted head certifies
-# that the term just added was the definitional one.
-FULL_SUM_CHECK_LIMIT = 64
-
 
 @dataclass(frozen=True)
 class AlgoResult:
@@ -48,6 +47,13 @@ class AlgoResult:
 def _invariant(condition: bool, where: str, clause: str) -> None:
     if not condition:
         raise InvariantViolation(f"{where}: invariant clause failed: {clause}")
+
+
+# pi_leibniz heads beyond this index stop re-deriving the partial-sum clause
+# from scratch (that recheck is quadratic); the sign clause still runs at every
+# head and the sum clause then holds inductively, because each term the loop
+# adds is built from the checked sign and index.
+FULL_SUM_CHECK_LIMIT = 64
 
 
 def pi_leibniz(eps: Fraction) -> AlgoResult:
@@ -81,124 +87,113 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
     return AlgoResult(4 * qp, iterations, eps)
 
 
-def _taylor_core(x: Fraction, eps: Fraction, odd: bool) -> AlgoResult:
-    """Shared loop for the plain Taylor routines.
+def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:
+    """Loop heads (n, sign, term, acc, fact) of the cos (odd=False) or sin Taylor loop.
 
-    odd=False: cosine accumulator starts at 1, term x^2/2, factors 2n(2n-1).
-    odd=True: sine accumulator starts at x, term x^3/6, factors 2n(2n+1).
-    The loop guard compares eps against the term's magnitude; the term itself
-    is signed for odd powers of a negative argument.
+    At head n >= 1: sign = (-1)^n, term = x^(2n+s)/(2n+s)! (signed for odd
+    powers of a negative argument), acc = the sum of the first n signed terms
+    and fact = (2n+s)!, with s = 1 for sine and 0 for cosine. Endless; each
+    consumer applies its own stop rule.
     """
-    name = "sin_taylor" if odd else "cos_taylor"
-    if not 0 < eps < 1:
-        raise EpsOutOfRange("0 < eps < 1", f"got {eps}")
+    shift = 1 if odd else 0
     x2 = x * x
     acc = x if odd else Fraction(1)
     term = x2 * x / 6 if odd else x2 / 2
+    fact = 6 if odd else 2
     n = 1
     sign = -1
-    iterations = 0
     while True:
-        _check_taylor_head(name, x, n, sign, term, acc, odd)
-        if not eps < abs(term):
-            break
-        acc += sign * term
+        yield n, sign, term, acc, fact
+        acc = acc + term if sign > 0 else acc - term
         n += 1
         sign = -sign
-        term = term * x2 / ((2 * n) * (2 * n + 1 if odd else 2 * n - 1))
-        iterations += 1
-    # alternating-series applicability at the exit path
-    limit = 2 * n + 1 if odd else 2 * n
-    _invariant(x2 <= limit * limit, name, f"|x| <= {limit} at exit")
-    return AlgoResult(acc, iterations, eps)
+        step = (2 * n + shift - 1) * (2 * n + shift)
+        term = term * x2 / step
+        fact *= step
 
 
-def _check_taylor_head(name: str, x: Fraction, n: int, sign: int,
-                       term: Fraction, acc: Fraction, odd: bool) -> None:
-    _invariant(sign == (1 if n % 2 == 0 else -1), name, "sign = (-1)^n")
-    shift = 1 if odd else 0
-    expected_term = x ** (2 * n + shift) / math.factorial(2 * n + shift)
+def _check_head(name: str, x: Fraction, shift: int, n: int, sign: int, term: Fraction,
+                acc: Fraction, partial: Fraction, ep: Fraction | None,
+                eps: Fraction) -> Fraction:
+    """Check the loop-head invariant at head n and return the partial sum for head n+1.
+
+    `partial` is the sum of the first n definitional terms, carried from head
+    to head, so the accumulator clause costs one addition per head. `ep` is
+    the zerone stop counter, None in the Taylor loop.
+    """
+    parity = 1 if n % 2 == 0 else -1
+    _invariant(sign == parity, name, "sign = (-1)^n")
+    fact = math.factorial(2 * n + shift)
+    if ep is not None:
+        _invariant(ep == parity * fact * eps,
+                   name, "ep = (-1)^n * (2n)! * eps scaled for parity")
+    expected_term = x ** (2 * n + shift) / fact
     _invariant(term == expected_term, name, "term = x^(2n)/(2n)! scaled for parity")
-    if n <= FULL_SUM_CHECK_LIMIT:
-        partial = sum(
-            Fraction(1 if m % 2 == 0 else -1)
-            * x ** (2 * m + shift) / math.factorial(2 * m + shift)
-            for m in range(n)
-        )
-        _invariant(acc == partial, name, "accumulator = partial Taylor sum")
+    _invariant(acc == partial, name, "accumulator = partial Taylor sum")
+    return partial + parity * expected_term
+
+
+def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> AlgoResult:
+    """The checked Taylor loop behind cos/sin_taylor and cos/sin_zerone.
+
+    Taylor (zerone=False) stops at the first head whose term has |term| <= eps
+    and counts the terms accumulated after the first; the exit path checks
+    that the alternating-series bound applies. Zerone requires |x| <= 1 and
+    does not test the term: it stops once its counter
+    ep = (-1)^n * (2n)! * eps (sine: (2n+1)!) reaches |ep| >= 1, at which point
+    eps >= 1/(2n)! >= |term| certifies the result, and reports the final n,
+    min{N : (2N)! * eps >= 1} (sine: (2N+1)!).
+    """
+    name = ("sin_" if odd else "cos_") + ("zerone" if zerone else "taylor")
+    if not 0 < eps < 1:
+        raise EpsOutOfRange("0 < eps < 1", f"got {eps}")
+    if zerone and not -1 <= x <= 1:
+        raise ArgOutOfRange("-1 <= x <= 1", f"got {x}")
+    shift = 1 if odd else 0
+    partial = x ** shift / math.factorial(shift)
+    for n, sign, term, acc, fact in _heads(x, odd):
+        ep = sign * fact * eps if zerone else None
+        partial = _check_head(name, x, shift, n, sign, term, acc, partial, ep, eps)
+        if not (abs(ep) < 1 if zerone else eps < abs(term)):
+            break
+    if zerone:
+        return AlgoResult(acc, n, eps)
+    # alternating-series applicability at the exit path
+    limit = 2 * n + shift
+    _invariant(x * x <= limit * limit, name, f"|x| <= {limit} at exit")
+    return AlgoResult(acc, n - 1, eps)
 
 
 def cos_taylor(x: Fraction, eps: Fraction) -> AlgoResult:
     """Taylor cosine in exact rationals: |result - cos x| <= eps for 0 < eps < 1."""
-    return _taylor_core(Fraction(x), Fraction(eps), odd=False)
+    return _checked_series(Fraction(x), Fraction(eps), odd=False, zerone=False)
 
 
 def sin_taylor(x: Fraction, eps: Fraction) -> AlgoResult:
     """Taylor sine in exact rationals: |result - sin x| <= eps for 0 < eps < 1."""
-    return _taylor_core(Fraction(x), Fraction(eps), odd=True)
-
-
-def _zerone_core(x: Fraction, eps: Fraction, odd: bool) -> AlgoResult:
-    """Range-restricted variant for |x| <= 1 with a factorial-scaled stop counter.
-
-    The loop does not test the term at all: it keeps a counter
-    ep = (-1)^n * (2n)! * eps (sine: (2n+1)!) and exits once |ep| >= 1, at
-    which point eps >= 1/(2n)! >= |term| certifies the result. `iterations`
-    in the returned record is the final counter n, the number of series terms
-    accumulated, which equals min{N : (2N)! * eps >= 1} (sine: (2N+1)!).
-    """
-    name = "sin_zerone" if odd else "cos_zerone"
-    if not 0 < eps < 1:
-        raise EpsOutOfRange("0 < eps < 1", f"got {eps}")
-    if not -1 <= x <= 1:
-        raise ArgOutOfRange("-1 <= x <= 1", f"got {x}")
-    x2 = x * x
-    acc = x if odd else Fraction(1)
-    term = x2 * x / 6 if odd else x2 / 2
-    ep = -6 * eps if odd else -2 * eps
-    n = 1
-    sign = -1
-    while True:
-        _check_zerone_head(name, x, eps, n, sign, term, acc, ep, odd)
-        if not abs(ep) < 1:
-            break
-        acc += sign * term
-        n += 1
-        sign = -sign
-        if odd:
-            term = term * x2 / ((2 * n) * (2 * n + 1))
-            ep = -ep * (2 * n) * (2 * n + 1)
-        else:
-            term = term * x2 / ((2 * n - 1) * (2 * n))
-            ep = -ep * (2 * n - 1) * (2 * n)
-    return AlgoResult(acc, n, eps)
-
-
-def _check_zerone_head(name: str, x: Fraction, eps: Fraction, n: int, sign: int,
-                       term: Fraction, acc: Fraction, ep: Fraction, odd: bool) -> None:
-    shift = 1 if odd else 0
-    parity = 1 if n % 2 == 0 else -1
-    _invariant(sign == parity, name, "sign = (-1)^n")
-    _invariant(ep == parity * math.factorial(2 * n + shift) * eps,
-               name, "ep = (-1)^n * (2n)! * eps scaled for parity")
-    _invariant(term == x ** (2 * n + shift) / math.factorial(2 * n + shift),
-               name, "term = x^(2n)/(2n)! scaled for parity")
-    partial = sum(
-        Fraction(1 if m % 2 == 0 else -1)
-        * x ** (2 * m + shift) / math.factorial(2 * m + shift)
-        for m in range(n)
-    )
-    _invariant(acc == partial, name, "accumulator = partial Taylor sum")
+    return _checked_series(Fraction(x), Fraction(eps), odd=True, zerone=False)
 
 
 def cos_zerone(x: Fraction, eps: Fraction) -> AlgoResult:
     """Cosine on [-1, 1] with the factorial stop counter; |result - cos x| <= eps."""
-    return _zerone_core(Fraction(x), Fraction(eps), odd=False)
+    return _checked_series(Fraction(x), Fraction(eps), odd=False, zerone=True)
 
 
 def sin_zerone(x: Fraction, eps: Fraction) -> AlgoResult:
     """Sine on [-1, 1] with the factorial stop counter; |result - sin x| <= eps."""
-    return _zerone_core(Fraction(x), Fraction(eps), odd=True)
+    return _checked_series(Fraction(x), Fraction(eps), odd=True, zerone=True)
+
+
+def _unbounded(x: Fraction, eps: Fraction, odd: bool) -> Fraction:
+    x = Fraction(x)
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise NonPositiveEps("eps > 0", f"got {eps}")
+    previous = x if odd else Fraction(1)
+    for _, _, term, acc, _ in _heads(x, odd):
+        if abs(previous) <= eps:
+            return acc
+        previous = term
 
 
 def cos_unbounded(x: Fraction, eps: Fraction) -> Fraction:
@@ -207,31 +202,9 @@ def cos_unbounded(x: Fraction, eps: Fraction) -> Fraction:
     Accepts any rational argument; this is the golden-data generator used to
     check everything else against.
     """
-    x = Fraction(x)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise NonPositiveEps("eps > 0", f"got {eps}")
-    a = Fraction(1)
-    s = Fraction(1)
-    k = 0
-    while abs(a) > eps:
-        a = -(a * x * x) / ((k + 1) * (k + 2))
-        s += a
-        k += 2
-    return s
+    return _unbounded(x, eps, odd=False)
 
 
 def sin_unbounded(x: Fraction, eps: Fraction) -> Fraction:
-    """Sine analog of cos_unbounded: first term x, factor step starts at k = 1."""
-    x = Fraction(x)
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise NonPositiveEps("eps > 0", f"got {eps}")
-    a = x
-    s = x
-    k = 1
-    while abs(a) > eps:
-        a = -(a * x * x) / ((k + 1) * (k + 2))
-        s += a
-        k += 2
-    return s
+    """Sine analog of cos_unbounded: the first term is x."""
+    return _unbounded(x, eps, odd=True)

@@ -191,3 +191,23 @@ def test_invariant_checker_raises_on_false_clause():
     _invariant(True, "here", "fine")
     with pytest.raises(InvariantViolation, match="demo clause"):
         _invariant(False, "here", "demo clause")
+
+
+@pytest.mark.parametrize("fn", [cos_taylor, cos_zerone])
+def test_accumulator_clause_is_checked_past_head_64(fn, monkeypatch):
+    # at x = 1 and eps = 1e-300 both loops run about 85 heads; a fault in
+    # the accumulator at head 70 must be caught there, and by that clause
+    from trigcheck import oracle
+    from trigcheck.errors import InvariantViolation
+
+    heads = oracle._heads
+
+    def faulty(x, odd):
+        for n, sign, term, acc, fact in heads(x, odd):
+            if n == 70:
+                acc += Fraction(1, 10**400)
+            yield n, sign, term, acc, fact
+
+    monkeypatch.setattr(oracle, "_heads", faulty)
+    with pytest.raises(InvariantViolation, match="accumulator = partial Taylor sum"):
+        fn(Fraction(1), Fraction(1, 10**300))
