@@ -127,18 +127,8 @@ def record() -> None:
     os.environ["COLUMNS"] = "80"
     recorded = {}
     for name in sorted(CASES):
-        undo = []
-
-        def patch(obj, attr, value):
-            undo.append((obj, attr, getattr(obj, attr)))
-            setattr(obj, attr, value)
-
-        with tempfile.TemporaryDirectory() as workdir:
-            try:
-                recorded[name] = run_case(name, Path(workdir), patch)
-            finally:
-                for obj, attr, value in reversed(undo):
-                    setattr(obj, attr, value)
+        with tempfile.TemporaryDirectory() as workdir, pytest.MonkeyPatch.context() as mp:
+            recorded[name] = run_case(name, Path(workdir), mp.setattr)
     CORPUS.parent.mkdir(exist_ok=True)
     CORPUS.write_text(json.dumps(recorded, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"recorded {len(recorded)} cases -> {CORPUS}", file=sys.stderr)
