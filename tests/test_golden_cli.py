@@ -55,6 +55,11 @@ CASES = {
                None, None),
     "golden-5000": (["golden", "--x", "50", "--eps", "1/100000000", "--digits", "5000"],
                     None, None),
+    "repro-table1": (["repro-table1"], None, None),
+    "repro-table1-csv": (["repro-table1", "--min=-1.5", "--max", "2", "--step", "0.1",
+                          "--eps", "1e-4", "--csv", "rows.csv"], "rows.csv", None),
+    # 12 iterations is the most any row of 0..5 needs, so the cap is just met
+    "repro-table1-cap": (["repro-table1", "--max", "5", "--cap", "12"], None, None),
     "verify-identities": (["verify", "--suite", "identities", "--samples", "3",
                            "--seed", "7"], None, None),
     "verify-bounds": (["verify", "--suite", "bounds", "--samples", "2", "--seed", "5"],
