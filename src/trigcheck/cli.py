@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import fixtrig, floatrepro, oracle, verify
-from .errors import PreconditionViolation, VerificationFailure
+from .errors import IterationCapExceeded, PreconditionViolation, VerificationFailure
 from .exact import parse_rational, rat_str, to_decimal
 from .fixpoint import FixFormat
 
@@ -77,11 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the paired trace (.csv, or .json for the mirror)")
         p.add_argument("--json", action="store_true")
 
+    # string defaults go through `type` only when this subcommand is parsed,
+    # so no other command converts them (and loads numpy)
     p = sub.add_parser("repro-table1", help="binary32 cosine scan")
-    p.add_argument("--min", type=floatrepro.f32, default=floatrepro.f32("0"))
-    p.add_argument("--max", type=floatrepro.f32, default=floatrepro.f32("30"))
-    p.add_argument("--step", type=floatrepro.f32, default=floatrepro.f32("0.05"))
-    p.add_argument("--eps", type=floatrepro.f32, default=floatrepro.f32("1e-6"))
+    p.add_argument("--min", type=floatrepro.f32, default="0")
+    p.add_argument("--max", type=floatrepro.f32, default="30")
+    p.add_argument("--step", type=floatrepro.f32, default="0.05")
+    p.add_argument("--eps", type=floatrepro.f32, default="1e-6")
     p.add_argument("--cap", type=int, default=None,
                    help=f"iteration cap (default {floatrepro.DEFAULT_ITERATION_CAP}, "
                         f"env {floatrepro.ITERATION_CAP_ENV} overrides)")
@@ -231,7 +233,8 @@ def main(argv: list[str] | None = None) -> int:
     except VerificationFailure as exc:
         print(f"trigcheck: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (PreconditionViolation, ArithmeticError, ValueError) as exc:
+    except (PreconditionViolation, ArithmeticError, ValueError,
+            IterationCapExceeded) as exc:
         print(f"trigcheck: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:

@@ -5,20 +5,35 @@ intermediate result rounds to IEEE binary32 (round to nearest, ties to even)
 with no fused multiply-add and no wider intermediates. The scan accumulates
 its abscissa in binary32 too, drifting exactly the way the original
 single-precision loop does. Two runs produce bit-identical output.
+
+numpy is imported the first time one of these routines runs, so a process
+that only uses the exact or fix-point layers never loads it.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
 from .errors import IterationCapExceeded, NonPositiveEps
 
-F32 = np.float32
 
-_ONE = F32(1.0)
-_TWO = F32(2.0)
+def _load_numpy(value):
+    """Import numpy, bind np, F32, _ONE and _TWO, then convert value.
+
+    F32 starts out as this function. Every routine below converts its
+    arguments through F32 before any other step, so its first call loads
+    numpy and later calls reach numpy.float32 directly, with no check.
+    """
+    global np, F32, _ONE, _TWO
+    import numpy as np
+
+    F32 = np.float32
+    _ONE = F32(1.0)
+    _TWO = F32(2.0)
+    return F32(value)
+
+
+F32 = _load_numpy
 
 DEFAULT_ITERATION_CAP = 1_000_000
 ITERATION_CAP_ENV = "TRIGCHECK_ITER_CAP"
@@ -73,7 +88,9 @@ def scan_table(min_x: np.float32, max_x: np.float32, step: np.float32,
     """Evaluate cos_code_in_c over an inclusive binary32-accumulated grid.
 
     Returns (x, value) rows; x advances by binary32 addition so the printed
-    abscissas drift the same way the original test harness drifted.
+    abscissas drift the same way the original test harness drifted. A step
+    too small to change x in binary32 would repeat the same row forever, so
+    it raises ValueError instead.
     """
     min_x = F32(min_x)
     max_x = F32(max_x)
@@ -87,5 +104,8 @@ def scan_table(min_x: np.float32, max_x: np.float32, step: np.float32,
     x = min_x
     while x <= max_x:
         rows.append((x, cos_code_in_c(x, eps, cap=cap)))
-        x = x + step
+        advanced = x + step
+        if advanced == x:
+            raise ValueError(f"step {step!s} leaves x = {x!s} unchanged in binary32")
+        x = advanced
     return rows

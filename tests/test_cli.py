@@ -86,6 +86,15 @@ def test_repro_table_output(tmp_path, capsys):
     assert csv_path.read_text().startswith("x,value\n")
 
 
+def test_repro_table_cap_exit_code(capsys):
+    # the binary32 terms overflow to inf and never fall below eps; the
+    # golden corpus pins the plain cap and stall messages
+    code, out, err = run_cli(capsys, "repro-table1", "--min", "100", "--max", "100",
+                             "--cap", "1000")
+    assert (code, out) == (2, "")
+    assert err.endswith("trigcheck: no convergence within 1000 iterations\n")
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities",
                            "--samples", "5", "--seed", "7")

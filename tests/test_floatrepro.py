@@ -81,3 +81,13 @@ def test_iteration_cap_env_override(monkeypatch):
         iteration_cap()
     monkeypatch.delenv(ITERATION_CAP_ENV)
     assert iteration_cap() == 1_000_000
+
+
+def test_scan_stops_when_a_step_leaves_x_unchanged():
+    # in binary32, 1 + 1e-8 rounds back to 1
+    with pytest.raises(ValueError, match="unchanged"):
+        scan_table(f32(1), f32(2), f32("1e-8"), EPS)
+    # 3e-8 is more than half an ulp below 1 and less than half an ulp at 1:
+    # x climbs 1 - 4*2^-24, ..., 1 - 2^-24, 1 and then stops moving
+    with pytest.raises(ValueError, match="x = 1.0 unchanged"):
+        scan_table(f32(1 - 4 * 2.0**-24), f32(2), f32("3e-8"), EPS)

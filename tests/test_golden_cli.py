@@ -69,6 +69,9 @@ CASES = {
     "exit1-missing-eps": (["cos", "--x", "1"], None, None),
     "exit2-zerone-range": (["sin", "--x", "2", "--eps", "1/4", "--zerone"], None, None),
     "exit2-eps-range": (["cos", "--x", "1/2", "--eps", "1"], None, None),
+    "exit2-repro-table1-cap": (["repro-table1", "--max", "5", "--cap", "11"], None, None),
+    "exit2-repro-table1-stall": (["repro-table1", "--min", "1", "--max", "2",
+                                  "--step", "1e-8"], None, None),
     "exit3-headline": (["fixcos", "--format", UNIT, "--eps", "1/4", "--x", "1/2"],
                        None, "reference-plus-one"),
 }
