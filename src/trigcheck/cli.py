@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the paired trace (.csv, or .json for the mirror)")
         p.add_argument("--json", action="store_true")
 
-    # string defaults go through `type` only when this subcommand is parsed,
-    # so no other command converts them (and loads numpy)
     p = sub.add_parser("repro-table1", help="binary32 cosine scan")
     p.add_argument("--min", type=floatrepro.f32, default="0")
     p.add_argument("--max", type=floatrepro.f32, default="30")
@@ -181,15 +179,12 @@ def _run_fixpoint(args) -> int:
 
 
 def _run_scan(args) -> int:
-    rows = floatrepro.scan_table(args.min, args.max, args.step, args.eps,
-                                 cap=args.cap)
-    lines = [f"{float(x):e}  {float(value):e}" for x, value in rows]
-    print("\n".join(lines))
+    rows = floatrepro.scan_table(args.min, args.max, args.step, args.eps, cap=args.cap)
+    print("\n".join(f"{x:e}  {value:e}" for x, value in rows))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write("x,value\n")
-            for x, value in rows:
-                handle.write(f"{float(x):e},{float(value):e}\n")
+            handle.writelines(f"{x:e},{value:e}\n" for x, value in rows)
     return EXIT_OK
 
 

@@ -304,11 +304,10 @@ def _check_trace(records: list[TraceRecord], n: int, delta: Fraction, q: Fractio
             f"trace holds {len(records)} records, expected n-1 = {n - 1}")
     if records and abs(records[0].delta) > first_gap_cap:
         raise BoundViolation("first-gap", k=1, detail=f"{records[0].delta}")
+    # no gap-cap check: delta_bound = gap_cap*(1 - q^(2k-1)) < gap_cap for q in (1/2, 1)
     for rec in records:
         if abs(rec.delta) > rec.delta_bound:
             raise BoundViolation("gap-chain", k=rec.k, detail=f"{rec.delta}")
-        if abs(rec.delta) > gap_cap:
-            raise BoundViolation("gap-cap", k=rec.k, detail=f"{rec.delta}")
         if rec.half is not None:
             if abs(rec.half.delta_half) > q * abs(rec.delta) + first_gap_cap:
                 raise BoundViolation("half-gap", k=rec.k)

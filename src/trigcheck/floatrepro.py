@@ -1,39 +1,19 @@
 """Strict binary32 Taylor cosine and the scan harness that exposes its blow-up.
 
-Every arithmetic step is performed on numpy float32 scalars, so each
-intermediate result rounds to IEEE binary32 (round to nearest, ties to even)
-with no fused multiply-add and no wider intermediates. The scan accumulates
-its abscissa in binary32 too, drifting exactly the way the original
-single-precision loop does. Two runs produce bit-identical output.
-
-numpy is imported the first time one of these routines runs, so a process
-that only uses the exact or fix-point layers never loads it.
+A binary32 value is a Python float that holds one. Each step computes in
+binary64, then rounds once to binary32 (ties to even; an overflow gives an
+infinity) by a store to and a load from a 4-byte buffer. For + - * / that is
+innocuous, as 53 >= 2*24 + 2 (S. Figueroa, "When is double rounding
+innocuous?", SIGNUM Newsletter 1995). Host values parse through binary64, as
+numpy parses them. The scan's abscissa drifts in binary32 as the original did.
 """
 
 from __future__ import annotations
 
 import os
+from decimal import ROUND_HALF_EVEN, ROUND_UP, Context
 
 from .errors import IterationCapExceeded, NonPositiveEps
-
-
-def _load_numpy(value):
-    """Import numpy, bind np, F32, _ONE and _TWO, then convert value.
-
-    F32 starts out as this function. Every routine below converts its
-    arguments through F32 before any other step, so its first call loads
-    numpy and later calls reach numpy.float32 directly, with no check.
-    """
-    global np, F32, _ONE, _TWO
-    import numpy as np
-
-    F32 = np.float32
-    _ONE = F32(1.0)
-    _TWO = F32(2.0)
-    return F32(value)
-
-
-F32 = _load_numpy
 
 DEFAULT_ITERATION_CAP = 1_000_000
 ITERATION_CAP_ENV = "TRIGCHECK_ITER_CAP"
@@ -50,41 +30,64 @@ def iteration_cap() -> int:
     return cap
 
 
-def f32(value: float | str | int) -> np.float32:
+def f32(value: float | str | int) -> float:
     """Round a host value to binary32 once, up front."""
-    return F32(value)
+    r = memoryview(bytearray(4)).cast("f")
+    r[0] = float(value)
+    return r[0]
 
 
-def cos_code_in_c(x: np.float32, eps: np.float32, cap: int | None = None) -> np.float32:
+def _f32_str(value: float) -> str:
+    """str(numpy.float32(value)): the fewest digits that read back (nearest first,
+    then away from zero, the wide side of a power of two), positional in
+    [1e-4, 1e6). Nine digits read back every binary32 value but NaN."""
+    for digits in range(1, 10):
+        for rounding in (ROUND_HALF_EVEN, ROUND_UP):
+            shortest = float(Context(digits, rounding).create_decimal(value))
+            if f32(shortest) == value:
+                positional = value == 0 or 1e-4 <= abs(value) < 1e6
+                return repr(shortest) if positional else f"{shortest:.{digits - 1}e}"
+    return "nan"
+
+
+def cos_code_in_c(x: float, eps: float, cap: int | None = None) -> float:
     """Series cosine exactly as a compiled C float loop would run it.
 
-    The signed term update is evaluated left to right,
-    stc = -stc * x * x / (dn * (dn + 1)), each product and the quotient
-    rounding to binary32 before the next step; then cs += stc and dn += 2,
-    looping while |stc| > eps.
+    stc = -stc * x * x / (dn * (dn + 1)) is evaluated left to right, every
+    operation rounding to binary32; then cs += stc and dn += 2, each rounded
+    too, looping while |stc| > eps.
     """
-    x = F32(x)
-    eps = F32(eps)
+    r = memoryview(bytearray(4)).cast("f")
+    r[0] = float(x)
+    x = r[0]
+    r[0] = float(eps)
+    eps = r[0]
     if not eps > 0:
         raise NonPositiveEps("eps > 0", f"got {eps}")
     if cap is None:
         cap = iteration_cap()
-    cs = _ONE
-    stc = _ONE
-    dn = _ONE
+    cs = stc = dn = 1.0
     count = 0
-    while np.abs(stc) > eps:
+    while abs(stc) > eps:
         if count >= cap:
             raise IterationCapExceeded(f"no convergence within {cap} iterations")
-        stc = -stc * x * x / (dn * (dn + _ONE))
-        cs = cs + stc
-        dn = dn + _TWO
+        r[0] = -stc * x
+        r[0] = r[0] * x
+        num = r[0]
+        r[0] = dn + 1.0
+        r[0] = dn * r[0]
+        r[0] = num / r[0]
+        stc = r[0]
+        r[0] = cs + stc
+        cs = r[0]
+        r[0] = dn + 2.0
+        dn = r[0]
         count += 1
     return cs
 
 
-def scan_table(min_x: np.float32, max_x: np.float32, step: np.float32,
-               eps: np.float32, cap: int | None = None) -> list[tuple[np.float32, np.float32]]:
+def scan_table(min_x: float, max_x: float, step: float,
+               eps: float, cap: int | None = None) -> list[tuple[float, float]]:
     """Evaluate cos_code_in_c over an inclusive binary32-accumulated grid.
 
     Returns (x, value) rows; x advances by binary32 addition so the printed
@@ -92,20 +95,23 @@ def scan_table(min_x: np.float32, max_x: np.float32, step: np.float32,
     too small to change x in binary32 would repeat the same row forever, so
     it raises ValueError instead.
     """
-    min_x = F32(min_x)
-    max_x = F32(max_x)
-    step = F32(step)
+    min_x = f32(min_x)
+    max_x = f32(max_x)
+    step = f32(step)
     if not step > 0:
         raise ValueError("step must be positive")
     if not min_x <= max_x:
         raise ValueError("min must not exceed max")
-    eps = F32(eps)
-    rows: list[tuple[np.float32, np.float32]] = []
+    if cap is None:
+        cap = iteration_cap()
+    r = memoryview(bytearray(4)).cast("f")
+    rows: list[tuple[float, float]] = []
     x = min_x
     while x <= max_x:
         rows.append((x, cos_code_in_c(x, eps, cap=cap)))
-        advanced = x + step
-        if advanced == x:
-            raise ValueError(f"step {step!s} leaves x = {x!s} unchanged in binary32")
-        x = advanced
+        r[0] = x + step
+        if r[0] == x:
+            raise ValueError(f"step {_f32_str(step)} leaves x = {_f32_str(x)} "
+                             "unchanged in binary32")
+        x = r[0]
     return rows

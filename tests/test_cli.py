@@ -92,7 +92,7 @@ def test_repro_table_cap_exit_code(capsys):
     code, out, err = run_cli(capsys, "repro-table1", "--min", "100", "--max", "100",
                              "--cap", "1000")
     assert (code, out) == (2, "")
-    assert err.endswith("trigcheck: no convergence within 1000 iterations\n")
+    assert err == "trigcheck: no convergence within 1000 iterations\n"
 
 
 def test_verify_subcommand(capsys):

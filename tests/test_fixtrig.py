@@ -241,3 +241,34 @@ def test_gap_checker_detects_violations():
                      slack=Fraction(1, 4000))
     assert info.value.bound == "first-gap"
     assert info.value.k == 1
+
+
+def test_gap_past_the_cap_is_caught_by_the_chain_check():
+    # gap-chain implies gap-cap: delta_bound = gap_cap*(1 - q^(2k-1)) < gap_cap
+    from dataclasses import replace
+
+    from trigcheck.errors import BoundViolation
+    from trigcheck.fixtrig import ORACLE_SLACK_DIVISOR, _check_trace
+
+    fmt = FixFormat.parse("1/65536:[-8,1024]")
+    eps = fmt.exact(Fraction(1, 4096))
+    trace = paired_trace_cos(fmt.exact(Fraction(3, 4)), eps)
+    result, records = trace.result, trace.records
+    delta = fmt.step
+    q = (1 + delta) / 2
+    gap_cap = Fraction(3, 2) * delta / (1 - delta)
+    eps_r = eps.to_rat()
+    observed = abs(result.value.to_rat() - result.reference)
+    assert len(records) >= 2
+    assert all(rec.delta_bound < gap_cap for rec in records)
+    _check_trace(records, result.n, delta, q, gap_cap, Fraction(3, 4) * delta,
+                 observed, eps_r, eps_r / ORACLE_SLACK_DIVISOR)
+    for i, rec in enumerate(records):
+        for sign in (1, -1):
+            bad = list(records)
+            bad[i] = replace(rec, delta=sign * (gap_cap + delta))
+            with pytest.raises(BoundViolation) as info:
+                _check_trace(bad, result.n, delta, q, gap_cap, Fraction(3, 4) * delta,
+                             observed, eps_r, eps_r / ORACLE_SLACK_DIVISOR)
+            expected = "first-gap" if i == 0 else "gap-chain"
+            assert (info.value.bound, info.value.k) == (expected, rec.k)

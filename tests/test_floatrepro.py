@@ -4,11 +4,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
 from trigcheck import cos_code_in_c, cos_unbounded, f32, scan_table
 from trigcheck.errors import IterationCapExceeded, NonPositiveEps
+from trigcheck import floatrepro
 from trigcheck.floatrepro import ITERATION_CAP_ENV, iteration_cap
 
 EPS = f32("1e-6")
@@ -16,9 +16,11 @@ EPS = f32("1e-6")
 
 def test_binary32_strictness_canaries():
     # one ulp below the rounding threshold vanishes, one at the threshold does not
-    assert f32(1.0) + f32(2.0**-24) == f32(1.0)
-    assert f32(1.0) + f32(2.0**-23) != f32(1.0)
-    assert isinstance(f32(1.0) * f32(0.5), np.float32)
+    assert f32(f32(1.0) + f32(2.0**-24)) == f32(1.0)
+    assert f32(f32(1.0) + f32(2.0**-23)) != f32(1.0)
+    # a returned value holds a binary32 value: it survives a round trip unchanged
+    for value in (f32("0.1"), cos_code_in_c(f32("0.1"), EPS), cos_code_in_c(f32(29), EPS)):
+        assert type(value) is float and f32(value) == value
 
 
 def test_zero_argument():
@@ -48,15 +50,14 @@ def test_moderate_argument_explodes():
 def test_scan_row_count_inclusive():
     rows = scan_table(f32(0), f32("0.1"), f32("0.05"), EPS)
     assert len(rows) == 3
-    assert [float(x) for x, _ in rows] == [float(f32(0)), float(f32("0.05")),
-                                           float(f32("0.05") + f32("0.05"))]
+    assert [x for x, _ in rows] == [f32(0), f32("0.05"), f32(f32("0.05") + f32("0.05"))]
 
 
 def test_scan_is_deterministic():
     first = scan_table(f32(0), f32(5), f32("0.05"), EPS)
     second = scan_table(f32(0), f32(5), f32("0.05"), EPS)
-    assert [(x.tobytes(), v.tobytes()) for x, v in first] == \
-           [(x.tobytes(), v.tobytes()) for x, v in second]
+    assert [(x.hex(), v.hex()) for x, v in first] == [(x.hex(), v.hex()) for x, v in second]
+    assert all(f32(x) == x and f32(v) == v for x, v in first)
 
 
 def test_scan_argument_validation():
@@ -81,6 +82,29 @@ def test_iteration_cap_env_override(monkeypatch):
         iteration_cap()
     monkeypatch.delenv(ITERATION_CAP_ENV)
     assert iteration_cap() == 1_000_000
+
+
+def test_scan_reads_the_cap_once(monkeypatch):
+    reads, caps = [], []
+
+    def counted_cap():
+        reads.append(17)
+        return 17
+
+    def row(x, eps, cap=None):
+        caps.append(cap)
+        return cos_code_in_c(x, eps, cap)
+
+    monkeypatch.setattr(floatrepro, "iteration_cap", counted_cap)
+    monkeypatch.setattr(floatrepro, "cos_code_in_c", row)
+    assert len(scan_table(f32(0), f32(1), f32("0.25"), EPS)) == 5
+    assert (reads, caps) == ([17], [17] * 5)
+    # a bad environment value still fails before the first row
+    monkeypatch.setattr(floatrepro, "iteration_cap", iteration_cap)
+    monkeypatch.setenv(ITERATION_CAP_ENV, "0")
+    with pytest.raises(ValueError, match=ITERATION_CAP_ENV):
+        scan_table(f32(0), f32(1), f32("0.25"), EPS)
+    assert len(caps) == 5
 
 
 def test_scan_stops_when_a_step_leaves_x_unchanged():

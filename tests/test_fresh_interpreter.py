@@ -1,0 +1,71 @@
+"""CLI commands in fresh interpreters: no numpy, and a clean stderr.
+
+The package has no runtime dependencies; numpy is a test-only oracle. Each
+command runs in a new interpreter, because this test process has imported
+numpy already and Python shows a given warning only once per process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import trigcheck
+from trigcheck import cli
+
+SRC = str(Path(trigcheck.__file__).resolve().parents[1])
+
+UNIT = "1/256:[-8,64]"
+COMMANDS = [
+    ["pi", "--eps", "1/2"],
+    ["cos", "--x", "1", "--eps", "1/20"],
+    ["sin", "--x", "-1", "--eps", "1e-6", "--zerone"],
+    ["fixcos", "--format", UNIT, "--eps", "1/4", "--x", "1/2"],
+    ["fixsin", "--format", UNIT, "--eps", "1/4", "--x", "1", "--json"],
+    ["repro-table1"],
+    ["golden", "--x", "50", "--eps", "1/100000000", "--digits", "10"],
+    ["verify", "--suite", "identities", "--samples", "3"],
+    ["verify", "--suite", "bounds", "--samples", "2"],
+    ["verify", "--suite", "appendix", "--samples", "2"],
+]
+
+
+def run_fresh(argv: list[str], block_numpy: bool) -> subprocess.CompletedProcess:
+    """cli.main(argv) in a new interpreter; with block_numpy, importing numpy fails."""
+    block = "sys.modules['numpy'] = None" if block_numpy else ""
+    script = f"import sys\n{block}\nfrom trigcheck import cli\nsys.exit(cli.main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_every_subcommand_runs_without_numpy():
+    subparsers = next(action for action in cli.build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert {argv[0] for argv in COMMANDS} == set(subparsers.choices)
+    for argv in COMMANDS:
+        proc = run_fresh(argv, block_numpy=True)
+        assert proc.returncode == 0, (argv, proc.stderr)
+
+
+def test_repro_table_cap_prints_only_the_cap_message():
+    # the binary32 terms overflow to inf; the overflow must not print warnings
+    proc = run_fresh(["repro-table1", "--min", "100", "--max", "100", "--cap", "1000"],
+                     block_numpy=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "trigcheck: no convergence within 1000 iterations\n"
+
+
+def test_repro_table_defaults_are_binary32_bit_for_bit():
+    # the string defaults parse through binary64, as numpy parses them
+    args = cli.build_parser().parse_args(["repro-table1"])
+    for name, text in (("min", "0"), ("max", "30"), ("step", "0.05"), ("eps", "1e-6")):
+        parsed = getattr(args, name)
+        assert type(parsed) is float
+        assert parsed.hex() == float(np.float32(text)).hex()
