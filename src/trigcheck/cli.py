@@ -10,10 +10,9 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import fixtrig, floatrepro, oracle, verify
-from .errors import IterationCapExceeded, PreconditionViolation, VerificationFailure
+from .errors import IterationCapExceeded, VerificationFailure
 from .exact import parse_rational, rat_str, to_decimal
 from .fixpoint import FixFormat
 
@@ -30,18 +29,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _rational(text: str) -> Fraction:
-    try:
-        return parse_rational(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _argument_type(parse):
+    """Wrap a parser so that its ValueError becomes argparse's usage error."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return convert
 
 
-def _format(text: str) -> FixFormat:
-    try:
-        return FixFormat.parse(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+_rational = _argument_type(parse_rational)
+_format = _argument_type(FixFormat.parse)
+
+
+class _AtLeastOne(argparse.Action):
+    # runs after type=int has parsed the value, so a non-integer keeps
+    # argparse's own "invalid int value" message
+    def __call__(self, parser, namespace, value, option_string=None) -> None:
+        if value < 1:
+            raise argparse.ArgumentError(self, f"must be at least 1, got {value}")
+        setattr(namespace, self.dest, value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,11 +61,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pi", help="approximate pi by the alternating series")
+    p.set_defaults(run=_run_oracle)
     p.add_argument("--eps", type=_rational, required=True)
     p.add_argument("--json", action="store_true")
 
     for trig in ("cos", "sin"):
         p = sub.add_parser(trig, help=f"exact-arithmetic {trig}")
+        p.set_defaults(run=_run_oracle)
         p.add_argument("--x", type=_rational, required=True)
         p.add_argument("--eps", type=_rational, required=True)
         mode = p.add_mutually_exclusive_group()
@@ -69,6 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for trig in ("fixcos", "fixsin"):
         p = sub.add_parser(trig, help=f"fix-point {trig[3:]} with checked bounds")
+        p.set_defaults(run=_run_fixpoint)
         p.add_argument("--format", type=_format, required=True,
                        metavar="1/k:[inf,sup]")
         p.add_argument("--x", type=_rational, required=True)
@@ -78,6 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("repro-table1", help="binary32 cosine scan")
+    p.set_defaults(run=_run_scan)
     p.add_argument("--min", type=floatrepro.f32, default="0")
     p.add_argument("--max", type=floatrepro.f32, default="30")
     p.add_argument("--step", type=floatrepro.f32, default="0.05")
@@ -88,13 +100,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", metavar="OUT", help="also write rows as CSV")
 
     p = sub.add_parser("golden", help="decimal golden value from the exact series")
+    p.set_defaults(run=_run_golden)
     p.add_argument("--x", type=_rational, required=True)
     p.add_argument("--eps", type=_rational, required=True)
     p.add_argument("--digits", type=int, required=True)
 
     p = sub.add_parser("verify", help="run a seeded property suite")
+    p.set_defaults(run=_run_verify)
     p.add_argument("--suite", choices=sorted(verify.SUITES), required=True)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--samples", type=int, action=_AtLeastOne, default=None)
     p.add_argument("--seed", type=int, default=0)
 
     return parser
@@ -123,8 +137,7 @@ def _apply_config(argv: list[str]) -> list[str]:
     return rest[:1] + extra + rest[1:]
 
 
-def _emit_result(result, as_json: bool) -> None:
-    payload = result.as_dict()
+def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
         return
@@ -133,24 +146,20 @@ def _emit_result(result, as_json: bool) -> None:
 
 
 def _run_oracle(args) -> int:
+    cos = args.command == "cos"
     if args.command == "pi":
-        _emit_result(oracle.pi_leibniz(args.eps), args.json)
-        return EXIT_OK
-    if args.unbounded:
-        fn = oracle.cos_unbounded if args.command == "cos" else oracle.sin_unbounded
+        payload = oracle.pi_leibniz(args.eps).as_dict()
+    elif args.unbounded:
+        fn = oracle.cos_unbounded if cos else oracle.sin_unbounded
         value = fn(args.x, args.eps)
-        if args.json:
-            print(json.dumps({"value": rat_str(value),
-                              "decimal": to_decimal(value, 12)}, sort_keys=True))
-        else:
-            print(f"value = {rat_str(value)}")
-            print(f"decimal = {to_decimal(value, 12)}")
-        return EXIT_OK
-    if args.zerone:
-        fn = oracle.cos_zerone if args.command == "cos" else oracle.sin_zerone
+        payload = {"value": rat_str(value), "decimal": to_decimal(value, 12)}
+    elif args.zerone:
+        fn = oracle.cos_zerone if cos else oracle.sin_zerone
+        payload = fn(args.x, args.eps).as_dict()
     else:
-        fn = oracle.cos_taylor if args.command == "cos" else oracle.sin_taylor
-    _emit_result(fn(args.x, args.eps), args.json)
+        fn = oracle.cos_taylor if cos else oracle.sin_taylor
+        payload = fn(args.x, args.eps).as_dict()
+    _emit(payload, args.json)
     return EXIT_OK
 
 
@@ -158,9 +167,9 @@ def _run_fixpoint(args) -> int:
     fmt: FixFormat = args.format
     x = fmt.exact(args.x)
     eps = fmt.exact(args.eps)
+    cos = args.command == "fixcos"
     if args.trace:
-        trace = (fixtrig.paired_trace_cos if args.command == "fixcos"
-                 else fixtrig.paired_trace_sin)(x, eps)
+        trace = (fixtrig.paired_trace_cos if cos else fixtrig.paired_trace_sin)(x, eps)
         result = trace.result
         if args.trace.endswith(".json"):
             with open(args.trace, "w", encoding="utf-8") as handle:
@@ -169,12 +178,11 @@ def _run_fixpoint(args) -> int:
         else:
             with open(args.trace, "w", encoding="utf-8", newline="") as handle:
                 handle.write(fixtrig.trace_to_csv(trace.records))
-        _emit_result(result, args.json)
-        if not args.json:
-            print(f"trace = {len(trace.records)} records -> {args.trace}")
-        return EXIT_OK
-    runner = fixtrig.cos_fixpoint if args.command == "fixcos" else fixtrig.sin_fixpoint
-    _emit_result(runner(x, eps), args.json)
+    else:
+        result = (fixtrig.cos_fixpoint if cos else fixtrig.sin_fixpoint)(x, eps)
+    _emit(result.as_dict(), args.json)
+    if args.trace and not args.json:
+        print(f"trace = {len(trace.records)} records -> {args.trace}")
     return EXIT_OK
 
 
@@ -185,6 +193,11 @@ def _run_scan(args) -> int:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write("x,value\n")
             handle.writelines(f"{x:e},{value:e}\n" for x, value in rows)
+    return EXIT_OK
+
+
+def _run_golden(args) -> int:
+    print(to_decimal(oracle.cos_unbounded(args.x, args.eps), args.digits))
     return EXIT_OK
 
 
@@ -210,33 +223,23 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     args = parser.parse_args(argv)
     try:
-        code = None
-        if args.command in ("pi", "cos", "sin"):
-            code = _run_oracle(args)
-        elif args.command in ("fixcos", "fixsin"):
-            code = _run_fixpoint(args)
-        elif args.command == "repro-table1":
-            code = _run_scan(args)
-        elif args.command == "golden":
-            print(to_decimal(oracle.cos_unbounded(args.x, args.eps), args.digits))
-            code = EXIT_OK
-        elif args.command == "verify":
-            code = _run_verify(args)
-        if code is not None:
-            sys.stdout.flush()
-            return code
+        code = args.run(args)
+        sys.stdout.flush()
+        return code
     except VerificationFailure as exc:
         print(f"trigcheck: verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFICATION
-    except (PreconditionViolation, ArithmeticError, ValueError,
-            IterationCapExceeded) as exc:
+    except (ArithmeticError, ValueError, IterationCapExceeded) as exc:
         print(f"trigcheck: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:
         # the consumer closed the pipe (e.g. | head); exit quietly
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
-    raise AssertionError(f"unhandled command {args.command!r}")
+    except OSError as exc:
+        # an output file that cannot be written (BrokenPipeError, a subclass, is above)
+        print(f"trigcheck: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

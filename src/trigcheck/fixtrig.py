@@ -86,10 +86,10 @@ class TraceRecord:
     delta_bound: Fraction
     ep_exact: Fraction
     epfp: Fraction
-    half: HalfStep | None = None
+    half: HalfStep
 
     def as_dict(self) -> dict:
-        out = {
+        return {
             "k": self.k,
             "tc": rat_str(self.tc_exact),
             "cs": rat_str(self.cs_exact),
@@ -99,14 +99,12 @@ class TraceRecord:
             "delta_bound": rat_str(self.delta_bound),
             "ep": rat_str(self.ep_exact),
             "epfp": rat_str(self.epfp),
-        }
-        if self.half is not None:
-            out["half"] = {
+            "half": {
                 "tc_half": rat_str(self.half.tc_half),
                 "tcfp_half": rat_str(self.half.tcfp_half),
                 "delta_half": rat_str(self.half.delta_half),
-            }
-        return out
+            },
+        }
 
 
 @dataclass(frozen=True)
@@ -216,21 +214,6 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     shift = 1 if odd else 0
     one = fmt.from_int(1)
 
-    k = 1
-    try:
-        xx = x * x
-        if odd:
-            accfp = x
-            tcfp = -((xx * x) / fmt.from_int(6))
-            epfp = fmt.from_int(6) * eps
-        else:
-            accfp = one
-            tcfp = -(xx / fmt.from_int(2))
-            epfp = fmt.from_int(2) * eps
-    except RangeOverflow as exc:
-        exc.iteration = k
-        raise
-
     # exact twin; its counter is checked on every run, its term (from the
     # oracle's loop heads, carried signed so the gap is a plain difference)
     # and sum only feed the trace
@@ -242,26 +225,30 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         first_gap_cap = Fraction(3, 4) * delta
 
     records: list[TraceRecord] = []
-    while True:
-        fact_eps = math.factorial(2 * k + shift) * eps_r
-        ep_fix = epfp.to_rat()
-        _invariant(ep_fix == fact_eps, name,
-                   "counter stays an exact factorial multiple of eps")
-        _invariant(ep_e == (fact_eps if k % 2 == 0 else -fact_eps), name,
-                   "exact counter matches its invariant")
-        _invariant(ep_fix == abs(ep_e), name,
-                   "fix-point and exact counters agree")
-        guard = epfp < one
-        _invariant(guard == (abs(ep_e) < 1), name, "loop guards agree (lockstep)")
-        if not guard:
-            break
-        if with_trace:
-            _, sign, term, acc_e, _ = next(heads)
-            tc_e = term if sign > 0 else -term
-            head = (k, tc_e, acc_e, tcfp.to_rat(), accfp.to_rat(),
-                    tcfp.to_rat() - tc_e, gap_cap * (1 - q ** (2 * k - 1)),
-                    ep_e, ep_fix)
-        try:
+    k = 1
+    try:
+        xx = x * x
+        accfp = x if odd else one
+        tcfp = -((xx * x) / fmt.from_int(6) if odd else xx / fmt.from_int(2))
+        epfp = fmt.from_int(6 if odd else 2) * eps
+        while True:
+            fact_eps = math.factorial(2 * k + shift) * eps_r
+            ep_fix = epfp.to_rat()
+            _invariant(ep_fix == fact_eps, name,
+                       "counter stays an exact factorial multiple of eps")
+            _invariant(ep_e == (fact_eps if k % 2 == 0 else -fact_eps), name,
+                       "exact counter matches its invariant")
+            # the two clauses above give ep_fix == |ep_e|, as fact_eps > 0
+            guard = epfp < one
+            _invariant(guard == (abs(ep_e) < 1), name, "loop guards agree (lockstep)")
+            if not guard:
+                break
+            if with_trace:
+                _, sign, term, acc_e, _ = next(heads)
+                tc_e = term if sign > 0 else -term
+                head = (k, tc_e, acc_e, tcfp.to_rat(), accfp.to_rat(),
+                        tcfp.to_rat() - tc_e, gap_cap * (1 - q ** (2 * k - 1)),
+                        ep_e, ep_fix)
             accfp = accfp + tcfp
             k += 1
             fac1 = 2 * k + shift - 1   # 2k-1 for cosine, 2k for sine
@@ -269,14 +256,14 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             tcfp_half = tcfp * (x / fmt.from_int(fac1))
             tcfp = (-tcfp_half) * (x / fmt.from_int(fac2))
             epfp = fmt.from_int(fac2) * (fmt.from_int(fac1) * epfp)
-        except RangeOverflow as exc:
-            exc.iteration = k
-            raise
-        ep_e = -ep_e * fac1 * fac2
-        if with_trace:
-            tc_half = tc_e * x_r / fac1
-            half = HalfStep(tc_half, tcfp_half.to_rat(), tcfp_half.to_rat() - tc_half)
-            records.append(TraceRecord(*head, half=half))
+            ep_e = -ep_e * fac1 * fac2
+            if with_trace:
+                tc_half = tc_e * x_r / fac1
+                half = HalfStep(tc_half, tcfp_half.to_rat(), tcfp_half.to_rat() - tc_half)
+                records.append(TraceRecord(*head, half))
+    except RangeOverflow as exc:
+        exc.iteration = k
+        raise
 
     n = k
     _invariant(n == n_goal, name, "final n equals the minimal stop count")
@@ -308,15 +295,13 @@ def _check_trace(records: list[TraceRecord], n: int, delta: Fraction, q: Fractio
     for rec in records:
         if abs(rec.delta) > rec.delta_bound:
             raise BoundViolation("gap-chain", k=rec.k, detail=f"{rec.delta}")
-        if rec.half is not None:
-            if abs(rec.half.delta_half) > q * abs(rec.delta) + first_gap_cap:
-                raise BoundViolation("half-gap", k=rec.k)
+        if abs(rec.half.delta_half) > q * abs(rec.delta) + first_gap_cap:
+            raise BoundViolation("half-gap", k=rec.k)
     for prev, cur in zip(records, records[1:]):
         if abs(cur.delta) > q * q * abs(prev.delta) + (q + 1) * first_gap_cap:
             raise BoundViolation("gap-step", k=cur.k)
-        if prev.half is not None:
-            if abs(cur.delta) > q * abs(prev.half.delta_half) + first_gap_cap:
-                raise BoundViolation("half-gap-step", k=cur.k)
+        if abs(cur.delta) > q * abs(prev.half.delta_half) + first_gap_cap:
+            raise BoundViolation("half-gap-step", k=cur.k)
     if n >= 2:
         chain = first_gap_cap + (n - 2) * gap_cap + eps_r
         if observed > chain + slack:

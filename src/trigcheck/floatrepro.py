@@ -68,7 +68,8 @@ def cos_code_in_c(x: float, eps: float, cap: int | None = None) -> float:
         cap = iteration_cap()
     cs = stc = dn = 1.0
     count = 0
-    while abs(stc) > eps:
+    inf = float("inf")
+    while eps < abs(stc) < inf:
         if count >= cap:
             raise IterationCapExceeded(f"no convergence within {cap} iterations")
         r[0] = -stc * x
@@ -83,6 +84,8 @@ def cos_code_in_c(x: float, eps: float, cap: int | None = None) -> float:
         r[0] = dn + 2.0
         dn = r[0]
         count += 1
+    if abs(stc) == inf:  # an infinite term never falls to eps
+        raise IterationCapExceeded(f"no convergence within {cap} iterations")
     return cs
 
 

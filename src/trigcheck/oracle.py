@@ -137,8 +137,8 @@ def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> Algo
     """The checked Taylor loop behind cos/sin_taylor and cos/sin_zerone.
 
     Taylor (zerone=False) stops at the first head whose term has |term| <= eps
-    and counts the terms accumulated after the first; the exit path checks
-    that the alternating-series bound applies. Zerone requires |x| <= 1 and
+    and counts the terms accumulated after the first; there |x| <= 2n+s, so
+    the alternating-series bound applies. Zerone requires |x| <= 1 and
     does not test the term: it stops once its counter
     ep = (-1)^n * (2n)! * eps (sine: (2n+1)!) reaches |ep| >= 1, at which point
     eps >= 1/(2n)! >= |term| certifies the result, and reports the final n,
@@ -158,9 +158,7 @@ def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> Algo
             break
     if zerone:
         return AlgoResult(acc, n, eps)
-    # alternating-series applicability at the exit path
-    limit = 2 * n + shift
-    _invariant(x * x <= limit * limit, name, f"|x| <= {limit} at exit")
+    # |x| <= m = 2n+s holds unchecked: |x|^m/m! = |term| <= eps < 1 and m! <= m^m
     return AlgoResult(acc, n - 1, eps)
 
 

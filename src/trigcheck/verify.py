@@ -121,6 +121,31 @@ def _minimal_count(eps: Fraction, odd: bool) -> int:
     return n
 
 
+def _grid_runs(report: SuiteReport, runners, samples: int, seed: int):
+    """Walk formats x grid eps x drawn x x (cos, sin) with runners = (cos, sin).
+
+    Yields (fmt, eps_r, odd, tag, result) for each run that returns; a run
+    that raises VerificationFailure counts as one failed check instead. The
+    xs of each (format, eps) are drawn before any of its runs.
+    """
+    rng = random.Random(seed)
+    for fmt_text in GRID_FORMATS:
+        fmt = FixFormat.parse(fmt_text)
+        for eps in _grid_eps_values(fmt):
+            eps_r = eps.to_rat()
+            xs = [FixNum(rng.randint(-fmt.k, fmt.k), fmt) for _ in range(samples)]
+            for x in xs:
+                for odd, runner in zip((False, True), runners):
+                    kind = "sin" if odd else "cos"
+                    tag = f"{kind} fmt={fmt} x={x.to_rat()} eps={eps_r} seed={seed}"
+                    try:
+                        result = runner(x, eps)
+                    except VerificationFailure as exc:
+                        report.add(False, f"{tag}: {exc}")
+                        continue
+                    yield fmt, eps_r, odd, tag, result
+
+
 def bounds(samples: int = 50, seed: int = 0) -> SuiteReport:
     """Headline error caps and minimal term counts over the format grid.
 
@@ -128,28 +153,13 @@ def bounds(samples: int = 50, seed: int = 0) -> SuiteReport:
     its own run was checked against.
     """
     report = SuiteReport("bounds", seed, samples)
-    rng = random.Random(seed)
-    for fmt_text in GRID_FORMATS:
-        fmt = FixFormat.parse(fmt_text)
-        for eps in _grid_eps_values(fmt):
-            eps_r = eps.to_rat()
-            xs = [FixNum(rng.randint(-fmt.k, fmt.k), fmt) for _ in range(samples)]
-            for x in xs:
-                for odd, runner in ((False, fixtrig.cos_fixpoint),
-                                    (True, fixtrig.sin_fixpoint)):
-                    kind = "sin" if odd else "cos"
-                    tag = f"{kind} fmt={fmt} x={x.to_rat()} eps={eps_r} seed={seed}"
-                    try:
-                        res = runner(x, eps)
-                    except VerificationFailure as exc:
-                        report.add(False, f"{tag}: {exc}")
-                        continue
-                    cap = fixtrig.error_bound(res.n, fmt.step, eps_r)
-                    slack = eps_r / fixtrig.ORACLE_SLACK_DIVISOR
-                    observed = abs(res.value.to_rat() - res.reference)
-                    report.add(observed <= cap + slack, f"headline {tag}")
-                    report.add(res.n == _minimal_count(eps_r, odd),
-                               f"minimal-count {tag}")
+    runners = (fixtrig.cos_fixpoint, fixtrig.sin_fixpoint)
+    for fmt, eps_r, odd, tag, res in _grid_runs(report, runners, samples, seed):
+        cap = fixtrig.error_bound(res.n, fmt.step, eps_r)
+        slack = eps_r / fixtrig.ORACLE_SLACK_DIVISOR
+        observed = abs(res.value.to_rat() - res.reference)
+        report.add(observed <= cap + slack, f"headline {tag}")
+        report.add(res.n == _minimal_count(eps_r, odd), f"minimal-count {tag}")
     return report
 
 
@@ -157,27 +167,11 @@ def appendix(samples: int = 50, seed: int = 0) -> SuiteReport:
     """Paired traces over the format grid; the tracer raises on any gap-bound
     failure, so a clean run means every per-iteration inequality held."""
     report = SuiteReport("appendix", seed, samples)
-    rng = random.Random(seed)
-    for fmt_text in GRID_FORMATS:
-        fmt = FixFormat.parse(fmt_text)
-        for eps in _grid_eps_values(fmt):
-            eps_r = eps.to_rat()
-            xs = [FixNum(rng.randint(-fmt.k, fmt.k), fmt) for _ in range(samples)]
-            for x in xs:
-                for odd, tracer in ((False, fixtrig.paired_trace_cos),
-                                    (True, fixtrig.paired_trace_sin)):
-                    kind = "sin" if odd else "cos"
-                    tag = f"{kind} fmt={fmt} x={x.to_rat()} eps={eps_r} seed={seed}"
-                    try:
-                        trace = tracer(x, eps)
-                    except VerificationFailure as exc:
-                        report.add(False, f"{tag}: {exc}")
-                        continue
-                    report.add(len(trace.records) == trace.result.n - 1,
-                               f"lockstep-count {tag}")
-                    cap = Fraction(3, 2) * fmt.step / (1 - fmt.step)
-                    report.add(all(abs(r.delta) <= cap for r in trace.records),
-                               f"gap-cap {tag}")
+    runners = (fixtrig.paired_trace_cos, fixtrig.paired_trace_sin)
+    for fmt, _, _, tag, trace in _grid_runs(report, runners, samples, seed):
+        report.add(len(trace.records) == trace.result.n - 1, f"lockstep-count {tag}")
+        cap = Fraction(3, 2) * fmt.step / (1 - fmt.step)
+        report.add(all(abs(r.delta) <= cap for r in trace.records), f"gap-cap {tag}")
     return report
 
 

@@ -225,7 +225,7 @@ def test_bound_grows_as_grid_coarsens():
 
 def test_gap_checker_detects_violations():
     from trigcheck.errors import BoundViolation
-    from trigcheck.fixtrig import TraceRecord, _check_trace
+    from trigcheck.fixtrig import HalfStep, TraceRecord, _check_trace
 
     delta = Fraction(1, 256)
     q = (1 + delta) / 2
@@ -234,7 +234,8 @@ def test_gap_checker_detects_violations():
                       tcfp=Fraction(1), csfp=Fraction(1),
                       delta=Fraction(1),  # far beyond (3/4)*delta
                       delta_bound=Fraction(3, 4) * delta,
-                      ep_exact=Fraction(-1, 2), epfp=Fraction(1, 2))
+                      ep_exact=Fraction(-1, 2), epfp=Fraction(1, 2),
+                      half=HalfStep(Fraction(0), Fraction(0), Fraction(0)))
     with pytest.raises(BoundViolation) as info:
         _check_trace([bad], 2, delta, q, cap, Fraction(3, 4) * delta,
                      observed=Fraction(0), eps_r=Fraction(1, 4),

@@ -35,14 +35,15 @@ COMMANDS = [
 ]
 
 
-def run_fresh(argv: list[str], block_numpy: bool) -> subprocess.CompletedProcess:
+def run_fresh(argv: list[str], block_numpy: bool,
+              timeout: float = 120) -> subprocess.CompletedProcess:
     """cli.main(argv) in a new interpreter; with block_numpy, importing numpy fails."""
     block = "sys.modules['numpy'] = None" if block_numpy else ""
     script = f"import sys\n{block}\nfrom trigcheck import cli\nsys.exit(cli.main({argv!r}))"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=120)
+                          text=True, timeout=timeout)
 
 
 def test_every_subcommand_runs_without_numpy():
@@ -60,6 +61,15 @@ def test_repro_table_cap_prints_only_the_cap_message():
                      block_numpy=False)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "trigcheck: no convergence within 1000 iterations\n"
+
+
+def test_infinite_term_ends_the_row_at_once():
+    # the term is infinite within about fifty iterations; running on to a
+    # cap of 10^9 would take minutes
+    proc = run_fresh(["repro-table1", "--min", "100", "--max", "100",
+                      "--cap", "1000000000"], block_numpy=False, timeout=20)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "trigcheck: no convergence within 1000000000 iterations\n"
 
 
 def test_repro_table_defaults_are_binary32_bit_for_bit():

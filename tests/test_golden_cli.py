@@ -74,6 +74,16 @@ CASES = {
                                   "--step", "1e-8"], None, None),
     "exit3-headline": (["fixcos", "--format", UNIT, "--eps", "1/4", "--x", "1/2"],
                        None, "reference-plus-one"),
+    # an output file in a directory that does not exist: one line, exit 1
+    "exit1-fixcos-trace-missing-dir": (["fixcos", "--format", UNIT, "--eps", "1/4",
+                                        "--x", "1/2", "--trace", "missing/t.csv"],
+                                       None, None),
+    "exit1-repro-table1-csv-missing-dir": (["repro-table1", "--max", "1",
+                                            "--csv", "missing/r.csv"], None, None),
+    "exit1-verify-samples-zero": (["verify", "--suite", "bounds", "--samples", "0"],
+                                  None, None),
+    "exit1-verify-samples-not-int": (["verify", "--suite", "bounds", "--samples", "2.5"],
+                                     None, None),
 }
 
 

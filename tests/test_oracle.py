@@ -6,6 +6,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigcheck import (
     cos_taylor,
@@ -166,6 +168,18 @@ def test_result_serialization():
         "iterations": 3,
         "bound": "1/2",
     }
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=st.fractions(min_value=-40, max_value=40, max_denominator=1000),
+       eps=st.fractions(min_value=Fraction(1, 10**9), max_value=Fraction(999, 1000),
+                        max_denominator=10**9),
+       odd=st.booleans())
+def test_taylor_exit_keeps_x_within_the_last_index(x, eps, odd):
+    # the exit head n = iterations + 1 has |x| <= 2n+s with no check run on
+    # it: |x|^m/m! = |term| <= eps < 1 there, with m = 2n+s and m! <= m^m
+    result = (sin_taylor if odd else cos_taylor)(x, eps)
+    assert abs(x) <= 2 * (result.iterations + 1) + (1 if odd else 0)
 
 
 def test_pi_leibniz_huge_eps_runs_zero_iterations():
