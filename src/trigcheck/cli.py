@@ -218,7 +218,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         argv = _apply_config(argv)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"trigcheck: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     args = parser.parse_args(argv)

@@ -55,10 +55,6 @@ class FixFormat:
     def in_range(self, value: Fraction) -> bool:
         return self.inf <= value <= self.sup
 
-    def representable(self, value: Fraction) -> bool:
-        value = Fraction(value)
-        return (value * self.k).denominator == 1 and self.in_range(value)
-
     def exact(self, value: Fraction | int) -> FixNum:
         """Embed a rational that is already on the grid; raise if it is not."""
         value = Fraction(value)

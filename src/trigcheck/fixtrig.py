@@ -5,11 +5,11 @@ two rounding operations per accumulated term (a divide and a multiply by the
 argument). The stop counter is scaled by integer grid values only, which the
 datatype keeps exact, so the fix-point loop and the exact loop always agree
 on the iteration count. `paired_trace_cos`/`paired_trace_sin` run both loops
-in lockstep and check the per-iteration gap between the fix-point term and
-its exact counterpart against the propagation inequalities: the first gap is
-at most (3/4)*step, each iteration contracts the previous gap by at most
-((1+step)/2)^2 plus a fresh ((1+step)/2 + 1)*(3/4)*step, and every gap stays
-below (3/2)*step/(1-step).
+in lockstep and check each term gap where it is made. With q = (1+step)/2 and
+c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
+the gap before it plus c, and the next gap at most q times that plus c. So
+each gap is at most q^2 times the previous one plus (q+1)*c and stays below
+(3/2)*step/(1-step)*(1 - q^(2k-1)); these two follow and are not checked.
 """
 
 from __future__ import annotations
@@ -163,8 +163,8 @@ def sin_fixpoint(x: FixNum, eps: FixNum) -> FixAlgoResult:
 def paired_trace_cos(x: FixNum, eps: FixNum) -> PairedTrace:
     """Run the exact and fix-point cosine loops in lockstep.
 
-    One TraceRecord per accumulated term (iterations 1 .. n-1); every gap
-    inequality is checked and a failure raises BoundViolation rather than
+    One TraceRecord per accumulated term (iterations 1 .. n-1); each gap is
+    checked as it is made, and a failure raises BoundViolation rather than
     returning a trace that looks healthy.
     """
     return _run(x, eps, odd=False, with_trace=True)
@@ -216,13 +216,15 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
 
     # exact twin; its counter is checked on every run, its term (from the
     # oracle's loop heads, carried signed so the gap is a plain difference)
-    # and sum only feed the trace
+    # and sum only feed the trace, whose gaps are checked where they are made
     ep_e = (-6 if odd else -2) * eps_r
     if with_trace:
         heads = _heads(x_r, odd)
         q = (1 + delta) / 2
         gap_cap = Fraction(3, 2) * delta / (1 - delta)
         first_gap_cap = Fraction(3, 4) * delta
+        # no gap-step check: half-gap at k-1 and half-gap-step at k compose into it
+        # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
 
     records: list[TraceRecord] = []
     k = 1
@@ -246,9 +248,14 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             if with_trace:
                 _, sign, term, acc_e, _ = next(heads)
                 tc_e = term if sign > 0 else -term
-                head = (k, tc_e, acc_e, tcfp.to_rat(), accfp.to_rat(),
-                        tcfp.to_rat() - tc_e, gap_cap * (1 - q ** (2 * k - 1)),
-                        ep_e, ep_fix)
+                tcfp_r = tcfp.to_rat()
+                gap = tcfp_r - tc_e
+                if k == 1 and abs(gap) > first_gap_cap:
+                    raise BoundViolation("first-gap", k=1, detail=f"{gap}")
+                if k > 1 and abs(gap) > q * abs(half_gap) + first_gap_cap:
+                    raise BoundViolation("half-gap-step", k=k)
+                head = (k, tc_e, acc_e, tcfp_r, accfp.to_rat(), gap,
+                        gap_cap * (1 - q ** (2 * k - 1)), ep_e, ep_fix)
             accfp = accfp + tcfp
             k += 1
             fac1 = 2 * k + shift - 1   # 2k-1 for cosine, 2k for sine
@@ -259,8 +266,11 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             ep_e = -ep_e * fac1 * fac2
             if with_trace:
                 tc_half = tc_e * x_r / fac1
-                half = HalfStep(tc_half, tcfp_half.to_rat(), tcfp_half.to_rat() - tc_half)
-                records.append(TraceRecord(*head, half))
+                tcfp_half_r = tcfp_half.to_rat()
+                half_gap = tcfp_half_r - tc_half
+                if abs(half_gap) > q * abs(gap) + first_gap_cap:
+                    raise BoundViolation("half-gap", k=k - 1)
+                records.append(TraceRecord(*head, HalfStep(tc_half, tcfp_half_r, half_gap)))
     except RangeOverflow as exc:
         exc.iteration = k
         raise
@@ -276,38 +286,16 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         raise BoundViolation("headline", detail=(
             f"{name}: observed {to_decimal(observed, 12)} > cap "
             f"{to_decimal(bound + slack, 12)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
-    result = FixAlgoResult(accfp, n, bound, reference)
     if with_trace:
-        _check_trace(records, n, delta, q, gap_cap, first_gap_cap,
-                     observed, eps_r, slack)
-    return PairedTrace(records, result)
-
-
-def _check_trace(records: list[TraceRecord], n: int, delta: Fraction, q: Fraction,
-                 gap_cap: Fraction, first_gap_cap: Fraction,
-                 observed: Fraction, eps_r: Fraction, slack: Fraction) -> None:
-    if len(records) != n - 1:
-        raise InvariantViolation(
-            f"trace holds {len(records)} records, expected n-1 = {n - 1}")
-    if records and abs(records[0].delta) > first_gap_cap:
-        raise BoundViolation("first-gap", k=1, detail=f"{records[0].delta}")
-    # no gap-cap check: delta_bound = gap_cap*(1 - q^(2k-1)) < gap_cap for q in (1/2, 1)
-    for rec in records:
-        if abs(rec.delta) > rec.delta_bound:
-            raise BoundViolation("gap-chain", k=rec.k, detail=f"{rec.delta}")
-        if abs(rec.half.delta_half) > q * abs(rec.delta) + first_gap_cap:
-            raise BoundViolation("half-gap", k=rec.k)
-    for prev, cur in zip(records, records[1:]):
-        if abs(cur.delta) > q * q * abs(prev.delta) + (q + 1) * first_gap_cap:
-            raise BoundViolation("gap-step", k=cur.k)
-        if abs(cur.delta) > q * abs(prev.half.delta_half) + first_gap_cap:
-            raise BoundViolation("half-gap-step", k=cur.k)
-    if n >= 2:
+        if len(records) != n - 1:
+            raise InvariantViolation(
+                f"trace holds {len(records)} records, expected n-1 = {n - 1}")
         chain = first_gap_cap + (n - 2) * gap_cap + eps_r
-        if observed > chain + slack:
+        if n >= 2 and observed > chain + slack:
             raise BoundViolation("closing-chain", detail=(
                 f"observed {to_decimal(observed, 12)} > "
                 f"{to_decimal(chain + slack, 12)}"))
+    return PairedTrace(records, FixAlgoResult(accfp, n, bound, reference))
 
 
 TRACE_CSV_HEADER = ["k", "tc", "cs", "tcfp", "csfp",

@@ -63,7 +63,7 @@ def cos_code_in_c(x: float, eps: float, cap: int | None = None) -> float:
     r[0] = float(eps)
     eps = r[0]
     if not eps > 0:
-        raise NonPositiveEps("eps > 0", f"got {eps}")
+        raise NonPositiveEps("eps > 0", f"got {_f32_str(eps)}")
     if cap is None:
         cap = iteration_cap()
     cs = stc = dn = 1.0

@@ -150,3 +150,13 @@ def test_missing_config_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/path.cfg", "pi", "--eps", "1")
     assert code == 1
     assert "config" in err
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"x=\xff\n")
+    code, out, err = run_cli(capsys, "--config", str(config), "cos", "--x", "1", "--eps", "1/2")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("trigcheck: cannot read config: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1

@@ -7,6 +7,8 @@ import io
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trigcheck import (
     FixFormat,
@@ -21,14 +23,17 @@ from trigcheck import (
     sin_term_count,
     sin_unbounded,
 )
+from trigcheck import fixtrig, oracle
 from trigcheck.errors import (
     ArgOutOfRange,
+    BoundViolation,
     EpsOutOfRange,
     FormatMismatch,
     PreconditionViolation,
     RangeOverflow,
 )
 from trigcheck.fixtrig import TRACE_CSV_HEADER, trace_to_csv, trace_to_json_obj
+from trigcheck.verify import GRID_FORMATS
 
 K256 = FixFormat.parse("1/256:[-8,64]")
 K65536 = FixFormat.parse("1/65536:[-8,1024]")
@@ -223,53 +228,87 @@ def test_bound_grows_as_grid_coarsens():
     assert observed == sorted(observed)
 
 
-def test_gap_checker_detects_violations():
-    from trigcheck.errors import BoundViolation
-    from trigcheck.fixtrig import HalfStep, TraceRecord, _check_trace
+def _perturbed_heads(at: int, by: Fraction):
+    """`oracle._heads` with the exact term at head `at` moved by `by`."""
+    def heads(x, odd):
+        for head in oracle._heads(x, odd):
+            n, sign, term, acc, fact = head
+            yield (n, sign, term + by, acc, fact) if n == at else head
+    return heads
 
-    delta = Fraction(1, 256)
-    q = (1 + delta) / 2
-    cap = Fraction(3, 2) * delta / (1 - delta)
-    bad = TraceRecord(k=1, tc_exact=Fraction(0), cs_exact=Fraction(1),
-                      tcfp=Fraction(1), csfp=Fraction(1),
-                      delta=Fraction(1),  # far beyond (3/4)*delta
-                      delta_bound=Fraction(3, 4) * delta,
-                      ep_exact=Fraction(-1, 2), epfp=Fraction(1, 2),
-                      half=HalfStep(Fraction(0), Fraction(0), Fraction(0)))
-    with pytest.raises(BoundViolation) as info:
-        _check_trace([bad], 2, delta, q, cap, Fraction(3, 4) * delta,
-                     observed=Fraction(0), eps_r=Fraction(1, 4),
-                     slack=Fraction(1, 4000))
-    assert info.value.bound == "first-gap"
-    assert info.value.k == 1
+
+def _gap_caps(fmt: FixFormat) -> tuple[Fraction, Fraction, Fraction]:
+    """q, the first-gap cap and the gap cap of a format."""
+    delta = fmt.step
+    return (1 + delta) / 2, Fraction(3, 4) * delta, Fraction(3, 2) * delta / (1 - delta)
+
+
+def test_gap_checker_detects_violations(monkeypatch):
+    # a gap fault raises as the gap is made, so before a wrong reference reaches headline
+    _, _, gap_cap = _gap_caps(K65536)
+    x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
+    monkeypatch.setattr(fixtrig, "_heads", _perturbed_heads(1, gap_cap + K65536.step))
+    monkeypatch.setattr(fixtrig, "cos_unbounded", lambda x, eps: oracle.cos_unbounded(x, eps) + 1)
+    monkeypatch.setattr(fixtrig, "sin_unbounded", lambda x, eps: oracle.sin_unbounded(x, eps) + 1)
+    for traced, untraced in ((paired_trace_cos, cos_fixpoint),
+                             (paired_trace_sin, sin_fixpoint)):
+        with pytest.raises(BoundViolation) as info:
+            traced(x, eps)
+        assert (info.value.bound, info.value.k) == ("first-gap", 1)
+        with pytest.raises(BoundViolation) as info:
+            untraced(x, eps)  # untraced runs never consult the heads
+        assert info.value.bound == "headline"
 
 
 def test_gap_past_the_cap_is_caught_by_the_chain_check():
-    # gap-chain implies gap-cap: delta_bound = gap_cap*(1 - q^(2k-1)) < gap_cap
-    from dataclasses import replace
+    # the deleted gap-chain check implied the gap cap; first-gap and half-gap-step,
+    # which imply gap-chain, now catch a gap past the cap at every head
+    _, _, gap_cap = _gap_caps(K65536)
+    x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
+    for run in (paired_trace_cos, paired_trace_sin):
+        n = run(x, eps).result.n
+        assert n >= 3
+        for i in range(1, n):
+            for sign in (1, -1):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(fixtrig, "_heads",
+                               _perturbed_heads(i, sign * (gap_cap + K65536.step)))
+                    with pytest.raises(BoundViolation) as info:
+                        run(x, eps)
+                expected = "first-gap" if i == 1 else "half-gap-step"
+                assert (info.value.bound, info.value.k) == (expected, i)
 
-    from trigcheck.errors import BoundViolation
-    from trigcheck.fixtrig import ORACLE_SLACK_DIVISOR, _check_trace
 
-    fmt = FixFormat.parse("1/65536:[-8,1024]")
-    eps = fmt.exact(Fraction(1, 4096))
-    trace = paired_trace_cos(fmt.exact(Fraction(3, 4)), eps)
-    result, records = trace.result, trace.records
-    delta = fmt.step
-    q = (1 + delta) / 2
-    gap_cap = Fraction(3, 2) * delta / (1 - delta)
-    eps_r = eps.to_rat()
-    observed = abs(result.value.to_rat() - result.reference)
-    assert len(records) >= 2
-    assert all(rec.delta_bound < gap_cap for rec in records)
-    _check_trace(records, result.n, delta, q, gap_cap, Fraction(3, 4) * delta,
-                 observed, eps_r, eps_r / ORACLE_SLACK_DIVISOR)
-    for i, rec in enumerate(records):
-        for sign in (1, -1):
-            bad = list(records)
-            bad[i] = replace(rec, delta=sign * (gap_cap + delta))
-            with pytest.raises(BoundViolation) as info:
-                _check_trace(bad, result.n, delta, q, gap_cap, Fraction(3, 4) * delta,
-                             observed, eps_r, eps_r / ORACLE_SLACK_DIVISOR)
-            expected = "first-gap" if i == 0 else "gap-chain"
-            assert (info.value.bound, info.value.k) == (expected, rec.k)
+@settings(deadline=None)
+@given(st.sampled_from(GRID_FORMATS), st.sampled_from([paired_trace_cos, paired_trace_sin]),
+       st.data())
+def test_deleted_gap_checks_hold_on_real_traces(fmt_text, run, data):
+    fmt = FixFormat.parse(fmt_text)
+    q, first_gap_cap, gap_cap = _gap_caps(fmt)
+    x = FixNum(data.draw(st.integers(-fmt.k, fmt.k)), fmt)                  # [-1, 1]
+    eps = FixNum(data.draw(st.integers(-(-fmt.k // 1000), fmt.k - 1)), fmt)  # [1/1000, 1)
+    records = run(x, eps).records
+    # gap-chain, and its bound b_k, which gap-step carries exactly from b_1 = first_gap_cap
+    assert all(abs(rec.delta) <= rec.delta_bound < gap_cap for rec in records)
+    assert not records or records[0].delta_bound == first_gap_cap
+    for prev, cur in zip(records, records[1:]):
+        assert abs(cur.delta) <= q * q * abs(prev.delta) + (q + 1) * first_gap_cap
+        assert cur.delta_bound == q * q * prev.delta_bound + (q + 1) * first_gap_cap
+
+
+def test_closing_chain_is_live(monkeypatch):
+    # an error past the chain but within the headline cap: only closing-chain fires
+    _, first_gap_cap, gap_cap = _gap_caps(K65536)
+    x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
+    result = cos_fixpoint(x, eps)
+    eps_r, n = eps.to_rat(), result.n
+    slack = eps_r / fixtrig.ORACLE_SLACK_DIVISOR
+    chain = first_gap_cap + (n - 2) * gap_cap + eps_r
+    assert result.a_priori_bound - chain == 2 * gap_cap - first_gap_cap > 0
+    observed = (chain + result.a_priori_bound) / 2 + slack
+    monkeypatch.setattr(fixtrig, "cos_unbounded",
+                        lambda x, eps: result.value.to_rat() - observed)
+    assert cos_fixpoint(x, eps).value == result.value      # headline holds
+    with pytest.raises(BoundViolation) as info:
+        paired_trace_cos(x, eps)
+    assert info.value.bound == "closing-chain"

@@ -72,6 +72,7 @@ CASES = {
     "exit2-repro-table1-cap": (["repro-table1", "--max", "5", "--cap", "11"], None, None),
     "exit2-repro-table1-stall": (["repro-table1", "--min", "1", "--max", "2",
                                   "--step", "1e-8"], None, None),
+    "exit2-repro-table1-eps-negative": (["repro-table1", "--eps=-1e-6"], None, None),
     "exit3-headline": (["fixcos", "--format", UNIT, "--eps", "1/4", "--x", "1/2"],
                        None, "reference-plus-one"),
     # an output file in a directory that does not exist: one line, exit 1
