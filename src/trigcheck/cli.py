@@ -188,11 +188,11 @@ def _run_fixpoint(args) -> int:
 
 def _run_scan(args) -> int:
     rows = floatrepro.scan_table(args.min, args.max, args.step, args.eps, cap=args.cap)
-    print("\n".join(f"{x:e}  {value:e}" for x, value in rows))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8", newline="") as handle:
             handle.write("x,value\n")
             handle.writelines(f"{x:e},{value:e}\n" for x, value in rows)
+    print("\n".join(f"{x:e}  {value:e}" for x, value in rows))
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FormatMismatch, RangeOverflow
-from .exact import parse_rational, rat_str
+from .exact import parse_rational, rat_str, to_decimal
 
 _FORMAT_RE = re.compile(r"^1/(\d+):\[([^,\]]+),([^,\]]+)\]$")
 
@@ -186,9 +186,7 @@ class FixNum:
         digits = _power_of_ten_exponent(self.fmt.k)
         if digits is None:
             return f"{self.m}/{self.fmt.k}"
-        sign = "-" if self.m < 0 else ""
-        text = str(abs(self.m)).rjust(digits + 1, "0")
-        return f"{sign}{text[:-digits]}.{text[-digits:]}"
+        return to_decimal(self.to_rat(), digits)
 
 
 def _round_half_even(p: int, q: int) -> int:

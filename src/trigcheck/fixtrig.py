@@ -3,9 +3,11 @@
 The algorithms mirror the exact range-restricted routines in `oracle`, with
 two rounding operations per accumulated term (a divide and a multiply by the
 argument). The stop counter is scaled by integer grid values only, which the
-datatype keeps exact, so the fix-point loop and the exact loop always agree
-on the iteration count. `paired_trace_cos`/`paired_trace_sin` run both loops
-in lockstep and check each term gap where it is made. With q = (1+step)/2 and
+datatype keeps exact, so at every head it equals (2k+s)! * eps, the exact
+loop's counter taken from its definition, and both loops stop at the same
+count. `paired_trace_cos`/`paired_trace_sin` run the fix-point loop in
+lockstep with the exact one, whose terms and sums come from `oracle._heads`,
+and check each term gap where it is made. With q = (1+step)/2 and
 c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
 the gap before it plus c, and the next gap at most q times that plus c. So
 each gap is at most q^2 times the previous one plus (q+1)*c and stays below
@@ -214,10 +216,9 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     shift = 1 if odd else 0
     one = fmt.from_int(1)
 
-    # exact twin; its counter is checked on every run, its term (from the
-    # oracle's loop heads, carried signed so the gap is a plain difference)
-    # and sum only feed the trace, whose gaps are checked where they are made
-    ep_e = (-6 if odd else -2) * eps_r
+    # exact twin: its counter (-1)^k * fact_eps is the definition itself; its
+    # term (from the oracle's loop heads, carried signed so the gap is a plain
+    # difference) and sum only feed the trace, whose gaps are checked where made
     if with_trace:
         heads = _heads(x_r, odd)
         q = (1 + delta) / 2
@@ -238,11 +239,9 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             ep_fix = epfp.to_rat()
             _invariant(ep_fix == fact_eps, name,
                        "counter stays an exact factorial multiple of eps")
-            _invariant(ep_e == (fact_eps if k % 2 == 0 else -fact_eps), name,
-                       "exact counter matches its invariant")
-            # the two clauses above give ep_fix == |ep_e|, as fact_eps > 0
+            # no exact-counter check: the twin's counter is fact_eps itself, not a copy
             guard = epfp < one
-            _invariant(guard == (abs(ep_e) < 1), name, "loop guards agree (lockstep)")
+            _invariant(guard == (fact_eps < 1), name, "loop guards agree (lockstep)")
             if not guard:
                 break
             if with_trace:
@@ -255,7 +254,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
                 if k > 1 and abs(gap) > q * abs(half_gap) + first_gap_cap:
                     raise BoundViolation("half-gap-step", k=k)
                 head = (k, tc_e, acc_e, tcfp_r, accfp.to_rat(), gap,
-                        gap_cap * (1 - q ** (2 * k - 1)), ep_e, ep_fix)
+                        gap_cap * (1 - q ** (2 * k - 1)), sign * fact_eps, ep_fix)
             accfp = accfp + tcfp
             k += 1
             fac1 = 2 * k + shift - 1   # 2k-1 for cosine, 2k for sine
@@ -263,7 +262,6 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             tcfp_half = tcfp * (x / fmt.from_int(fac1))
             tcfp = (-tcfp_half) * (x / fmt.from_int(fac2))
             epfp = fmt.from_int(fac2) * (fmt.from_int(fac1) * epfp)
-            ep_e = -ep_e * fac1 * fac2
             if with_trace:
                 tc_half = tc_e * x_r / fac1
                 tcfp_half_r = tcfp_half.to_rat()

@@ -5,7 +5,9 @@ cos/sin Taylor loop from one generator of loop heads (`oracle._heads`):
 the checked Taylor and range-restricted (zerone) cores with their head
 checks, the two unbounded golden-data generators, the exact twin that the
 fix-point tracer ran beside its fix-point loop, and the two term counters.
-They are kept verbatim, apart from names, as oracles for
+`pi_leibniz` is the loop as it stood while it re-summed its partial-sum
+clause from scratch at every head up to 64. They are kept verbatim, apart
+from names, as oracles for
 `tests/test_series_reference.py`: the library must return the same values
 and counts, and raise the same exceptions with the same messages.
 """
@@ -211,3 +213,29 @@ def sin_term_count(eps: Fraction) -> int:
         n += 1
         fact *= (2 * n) * (2 * n + 1)
     return n
+
+
+def pi_leibniz(eps: Fraction) -> AlgoResult:
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise NonPositiveEps("eps > 0", f"got {eps}")
+    qp = Fraction(1)
+    n = 1
+    sign = -1
+    iterations = 0
+    quarter = eps / 4
+    while True:
+        _invariant(sign == (1 if n % 2 == 0 else -1), "pi_leibniz", "sign = (-1)^n")
+        if n <= FULL_SUM_CHECK_LIMIT:
+            partial = sum(Fraction(1 if m % 2 == 0 else -1, 2 * m + 1) for m in range(n))
+            _invariant(qp == partial, "pi_leibniz", "qp = sum of first n series terms")
+        # guard eps/4 < 1/(2n+1), done in integers to keep heads cheap
+        if quarter.numerator * (2 * n + 1) >= quarter.denominator:
+            break
+        qp += Fraction(sign, 2 * n + 1)
+        n += 1
+        sign = -sign
+        iterations += 1
+    expected = max(0, math.ceil(Fraction(2) / eps - Fraction(3, 2)))
+    _invariant(iterations == expected, "pi_leibniz", "iterations = ceil(2/eps - 3/2)")
+    return AlgoResult(4 * qp, iterations, eps)

@@ -146,6 +146,21 @@ def test_str_rendering():
     assert str(FixNum(20, hundredths)) == "0.20"
 
 
+def decimal_layout(m: int, digits: int) -> str:
+    """`str` of m on a 1/10^digits grid, as FixNum once laid out the digits itself."""
+    sign = "-" if m < 0 else ""
+    text = str(abs(m)).rjust(digits + 1, "0")
+    return f"{sign}{text[:-digits]}.{text[-digits:]}"
+
+
+@given(st.integers(1, 12), st.data())
+def test_str_keeps_the_decimal_layout(digits, data):
+    fmt = FixFormat(10**digits, Fraction(-1000), Fraction(1000))
+    drawn = data.draw(st.one_of(st.integers(-fmt.k, fmt.k), st.integers(fmt.m_inf, fmt.m_sup)))
+    for m in (0, -1, 1 - fmt.k, fmt.m_inf, drawn):
+        assert str(FixNum(m, fmt)) == decimal_layout(m, digits)
+
+
 def test_out_of_range_value_rejected():
     with pytest.raises(RangeOverflow):
         FixNum(TENTHS.m_sup + 1, TENTHS)

@@ -29,6 +29,7 @@ from trigcheck.errors import (
     BoundViolation,
     EpsOutOfRange,
     FormatMismatch,
+    InvariantViolation,
     PreconditionViolation,
     RangeOverflow,
 )
@@ -312,3 +313,50 @@ def test_closing_chain_is_live(monkeypatch):
     with pytest.raises(BoundViolation) as info:
         paired_trace_cos(x, eps)
     assert info.value.bound == "closing-chain"
+
+
+def _divide_by_one_less(monkeypatch, divisor: int) -> None:
+    """A fault in one loop factor: `FixFormat.from_int(divisor)` gives divisor - 1."""
+    from_int = FixFormat.from_int
+    monkeypatch.setattr(FixFormat, "from_int",
+                        lambda fmt, i: from_int(fmt, i - 1 if i == divisor else i))
+
+
+@pytest.mark.parametrize("run,divisor", [(paired_trace_cos, 3), (paired_trace_sin, 4)])
+def test_half_gap_is_live(run, divisor, monkeypatch):
+    # the half step of iteration 1 divides by fac1 - 1, so its gap is the first wrong value
+    _divide_by_one_less(monkeypatch, divisor)
+    with pytest.raises(BoundViolation) as info:
+        run(K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096)))
+    assert (info.value.bound, info.value.k) == ("half-gap", 1)
+
+
+def _first_invariant(run, fmt: FixFormat, x: Fraction, eps: Fraction) -> str:
+    with pytest.raises(InvariantViolation) as info:
+        run(fmt.exact(x), fmt.exact(eps))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("run", [cos_fixpoint, paired_trace_cos])
+def test_counter_clause_is_live(run, monkeypatch):
+    # iteration 1 scales the counter by 3 for 4; its half step, and so half-gap, is right
+    _divide_by_one_less(monkeypatch, 4)
+    assert _first_invariant(run, K65536, Fraction(3, 4), Fraction(1, 4096)) == (
+        "cos_fixpoint: counter stays an exact factorial multiple of eps")
+
+
+@pytest.mark.parametrize("run", [cos_fixpoint, paired_trace_cos])
+def test_lockstep_clause_is_live(run, monkeypatch):
+    # 4! * (1/24) = 1 exactly: a fix-point guard that reads < as <= runs one head too far
+    monkeypatch.setattr(FixNum, "__lt__", FixNum.__le__)
+    fmt = FixFormat.parse("1/48:[-8,64]")
+    assert _first_invariant(run, fmt, Fraction(1, 2), Fraction(1, 24)) == (
+        "cos_fixpoint: loop guards agree (lockstep)")
+
+
+@pytest.mark.parametrize("run", [cos_fixpoint, paired_trace_cos])
+def test_final_count_clause_is_live(run, monkeypatch):
+    count = fixtrig.cos_term_count
+    monkeypatch.setattr(fixtrig, "cos_term_count", lambda eps: count(eps) + 1)
+    assert _first_invariant(run, K65536, Fraction(3, 4), Fraction(1, 4096)) == (
+        "cos_fixpoint: final n equals the minimal stop count")

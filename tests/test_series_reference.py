@@ -3,7 +3,8 @@
 Values, iteration counts, exception types and exception messages must all
 match, on hypothesis draws and on anchor inputs: x = 0, +-1, +-3, eps equal
 to a term or to a stop-counter threshold (the `<` against `<=` ties), and
-eps >= 1 for the unbounded generators.
+eps >= 1 for the unbounded generators; for `pi_leibniz`, eps >= 4, eps <= 0
+and eps ending the loop near head 64.
 """
 
 from __future__ import annotations
@@ -88,6 +89,25 @@ def test_wider_arguments(x, eps, name):
 def test_term_counts(eps):
     assert outcome(fixtrig.cos_term_count, eps) == outcome(ref.cos_term_count, eps)
     assert outcome(fixtrig.sin_term_count, eps) == outcome(ref.sin_term_count, eps)
+
+
+# eps = 4/(2m+1) makes head m the last one, so these end on either side of head 64,
+# the last head that checks the partial-sum clause
+PI_ANCHOR_EPS = [Fraction(4, 2 * m + 1) + d for m in (62, 63, 64, 65, 66)
+                 for d in (0, Fraction(1, 10**9), -Fraction(1, 10**9))]
+PI_ANCHOR_EPS += [Fraction(4), Fraction(9, 2), Fraction(100), Fraction(7, 2), Fraction(1),
+                  Fraction(0), Fraction(-1, 2), Fraction(-4)]
+
+
+def test_pi_leibniz_anchors():
+    for eps in PI_ANCHOR_EPS:
+        assert outcome(oracle.pi_leibniz, eps) == outcome(ref.pi_leibniz, eps), eps
+
+
+@settings(max_examples=100, deadline=None)
+@given(eps=st.builds(Fraction, st.integers(-3, 60), st.integers(1, 1000)))
+def test_pi_leibniz(eps):
+    assert outcome(oracle.pi_leibniz, eps) == outcome(ref.pi_leibniz, eps)
 
 
 FORMATS = [FixFormat.parse("1/256:[-8,64]"), FixFormat.parse("1/65536:[-8,1024]")]
