@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max", type=floatrepro.f32, default="30")
     p.add_argument("--step", type=floatrepro.f32, default="0.05")
     p.add_argument("--eps", type=floatrepro.f32, default="1e-6")
-    p.add_argument("--cap", type=int, default=None,
+    p.add_argument("--cap", type=int, action=_AtLeastOne, default=None,
                    help=f"iteration cap (default {floatrepro.DEFAULT_ITERATION_CAP}, "
                         f"env {floatrepro.ITERATION_CAP_ENV} overrides)")
     p.add_argument("--csv", metavar="OUT", help="also write rows as CSV")
@@ -115,7 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Inject key=value pairs from --config FILE as defaults after the subcommand."""
+    """Inject key=value pairs from --config FILE (or --config=FILE) as defaults
+    after the subcommand, each as one --key=value token so -1/2 is not a flag."""
+    argv = [part for token in argv
+            for part in (token.split("=", 1) if token.startswith("--config=") else [token])]
     if "--config" not in argv:
         return argv
     at = argv.index("--config")
@@ -132,7 +135,7 @@ def _apply_config(argv: list[str]) -> list[str]:
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            extra.extend([f"--{key.strip()}", value.strip()])
+            extra.append(f"--{key.strip()}={value.strip()}")
     # defaults go right after the subcommand so explicit flags win
     return rest[:1] + extra + rest[1:]
 

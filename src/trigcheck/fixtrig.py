@@ -40,16 +40,11 @@ ORACLE_SLACK_DIVISOR = 1000  # reference values are computed at eps/1000
 
 @dataclass(frozen=True)
 class FixAlgoResult:
-    """Fix-point result, its term count n, and the a-priori error cap.
-
-    `reference` is the exact-series value at slack eps/ORACLE_SLACK_DIVISOR
-    that the headline check compared `value` with; `as_dict` leaves it out.
-    """
+    """Fix-point result, its term count n, and the a-priori error cap."""
 
     value: FixNum
     n: int
     a_priori_bound: Fraction
-    reference: Fraction
 
     def as_dict(self, digits: int = 12) -> dict:
         return {
@@ -293,7 +288,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             raise BoundViolation("closing-chain", detail=(
                 f"observed {to_decimal(observed, 12)} > "
                 f"{to_decimal(chain + slack, 12)}"))
-    return PairedTrace(records, FixAlgoResult(accfp, n, bound, reference))
+    return PairedTrace(records, FixAlgoResult(accfp, n, bound))
 
 
 TRACE_CSV_HEADER = ["k", "tc", "cs", "tcfp", "csfp",

@@ -70,7 +70,6 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
     qp = Fraction(1)
     n = 1
     sign = -1
-    iterations = 0
     quarter = eps / 4
     partial = Fraction(1)
     while True:
@@ -84,10 +83,9 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
         qp += Fraction(sign, 2 * n + 1)
         n += 1
         sign = -sign
-        iterations += 1
     expected = max(0, math.ceil(Fraction(2) / eps - Fraction(3, 2)))
-    _invariant(iterations == expected, "pi_leibniz", "iterations = ceil(2/eps - 3/2)")
-    return AlgoResult(4 * qp, iterations, eps)
+    _invariant(n - 1 == expected, "pi_leibniz", "iterations = ceil(2/eps - 3/2)")
+    return AlgoResult(4 * qp, n - 1, eps)
 
 
 def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:

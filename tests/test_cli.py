@@ -146,6 +146,28 @@ def test_config_file_defaults(tmp_path, capsys):
     assert "iterations = 7" in out
 
 
+def test_config_value_may_start_with_a_minus(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("x=-1/2\neps=1/1000\n")
+    expected = run_cli(capsys, "sin", "--x=-1/2", "--eps", "1/1000")
+    assert expected[0] == 0
+    assert run_cli(capsys, "--config", str(config), "sin") == expected
+    # explicit flags win over config values
+    explicit = run_cli(capsys, "--config", str(config), "sin", "--x", "1/2")
+    assert explicit == run_cli(capsys, "sin", "--x", "1/2", "--eps", "1/1000") != expected
+
+
+def test_config_given_with_an_equals_sign(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("eps = 1/2\n")
+    expected = run_cli(capsys, "--config", str(config), "pi")
+    assert expected[0] == 0
+    assert run_cli(capsys, f"--config={config}", "pi") == expected
+    code, out, _ = run_cli(capsys, f"--config={config}", "pi", "--eps", "1/4")
+    assert code == 0
+    assert "iterations = 7" in out
+
+
 def test_missing_config_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "--config", "/nonexistent/path.cfg", "pi", "--eps", "1")
     assert code == 1

@@ -85,6 +85,7 @@ CASES = {
                                   None, None),
     "exit1-verify-samples-not-int": (["verify", "--suite", "bounds", "--samples", "2.5"],
                                      None, None),
+    "exit1-repro-table1-cap-zero": (["repro-table1", "--cap", "0"], None, None),
 }
 
 

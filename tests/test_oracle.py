@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -225,3 +226,35 @@ def test_accumulator_clause_is_checked_past_head_64(fn, monkeypatch):
     monkeypatch.setattr(oracle, "_heads", faulty)
     with pytest.raises(InvariantViolation, match="accumulator = partial Taylor sum"):
         fn(Fraction(1), Fraction(1, 10**300))
+
+
+
+# (name, fault applied to a head tuple, the clause that must catch it, routines)
+HEAD_FAULTS = [
+    ("sign", lambda n, sign, term, acc, fact: (n, -sign, term, acc, fact),
+     "sign = (-1)^n", (cos_taylor, sin_taylor, cos_zerone, sin_zerone)),
+    ("term", lambda n, sign, term, acc, fact: (n, sign, 2 * term, acc, fact),
+     "term = x^(2n)/(2n)! scaled for parity", (cos_taylor, sin_taylor, cos_zerone, sin_zerone)),
+    # only the zerone loops read fact, through their stop counter
+    ("fact", lambda n, sign, term, acc, fact: (n, sign, term, acc, fact + 1),
+     "ep = (-1)^n * (2n)! * eps scaled for parity", (cos_zerone, sin_zerone)),
+]
+
+
+@pytest.mark.parametrize("corrupt, clause, fn", [
+    pytest.param(corrupt, clause, fn, id=f"{name}-{fn.__name__}")
+    for name, corrupt, clause, fns in HEAD_FAULTS for fn in fns])
+def test_each_head_clause_catches_its_fault(corrupt, clause, fn, monkeypatch):
+    # a fault in one field at head 3 must be caught there, by that field's clause
+    from trigcheck import oracle
+    from trigcheck.errors import InvariantViolation
+
+    heads = oracle._heads
+
+    def faulty(x, odd):
+        for head in heads(x, odd):
+            yield corrupt(*head) if head[0] == 3 else head
+
+    monkeypatch.setattr(oracle, "_heads", faulty)
+    with pytest.raises(InvariantViolation, match=re.escape(f"invariant clause failed: {clause}")):
+        fn(Fraction(3, 4), Fraction(1, 10**12))

@@ -1,11 +1,17 @@
-"""The bounds suite reuses each result's checked reference value."""
+"""The bounds suite computes no reference of its own, and each grid run counts
+as one check, its own verdict, in both grid suites."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import pytest
+
 from trigcheck import fixtrig, oracle, verify
+from trigcheck.errors import InvariantViolation
 
 
-def test_bounds_reuses_the_checked_reference(monkeypatch):
+def test_bounds_computes_no_reference_of_its_own(monkeypatch):
     calls = []
 
     def counting(fn):
@@ -26,3 +32,46 @@ def test_bounds_reuses_the_checked_reference(monkeypatch):
     assert report.checks == 2 * 36
     # one reference per fix-point evaluation: 3 formats x 3 eps x 2 samples x cos/sin
     assert len(calls) == 36
+
+
+@pytest.mark.parametrize("suite, names", [
+    (verify.bounds, ("cos_fixpoint", "sin_fixpoint")),
+    (verify.appendix, ("paired_trace_cos", "paired_trace_sin")),
+], ids=["bounds", "appendix"])
+def test_a_run_that_raises_is_one_failed_check(suite, names, monkeypatch):
+    # 3 formats x 3 eps x 4 samples x cos/sin = 72 runs; every third raises.
+    # The 48 that return count one check each plus the suite's own, 96 in all.
+    calls = [0]
+
+    def every_third(fn):
+        def wrapper(x, eps):
+            calls[0] += 1
+            if calls[0] % 3 == 0:
+                raise InvariantViolation(f"injected at call {calls[0]}")
+            return fn(x, eps)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(fixtrig, name, every_third(getattr(fixtrig, name)))
+    report = suite(samples=4, seed=0)
+    assert (report.checks, len(report.failures)) == (120, 24)
+    assert report.failures[0] == (
+        "cos fmt=1/256:[-8,64] x=87/128 eps=1/4 seed=0: injected at call 3")
+    assert report.failures[-1] == ("sin fmt=1/1000000:[-8,64] x=-869391/1000000 eps=1/1000 "
+                                   "seed=0: injected at call 72")
+    assert all(label.endswith(f"injected at call {3 * (i + 1)}")
+               for i, label in enumerate(report.failures))
+
+
+@pytest.mark.parametrize("suite", [verify.bounds, verify.appendix])
+def test_a_wrong_reference_fails_every_cosine_run_on_headline(suite, monkeypatch):
+    # cos runs raise headline (27 failed checks); the 27 sin runs count two each
+    monkeypatch.setattr(fixtrig, "cos_unbounded",
+                        lambda x, eps: oracle.cos_unbounded(x, eps) + Fraction(1, 3))
+    report = suite(samples=3, seed=0)
+    assert (report.checks, len(report.failures)) == (81, 27)
+    assert report.failures[0] == (
+        "cos fmt=1/256:[-8,64] x=69/128 eps=1/4 seed=0: bound 'headline' violated: "
+        "cos_fixpoint: observed 0.336054713921 > cap 0.262014705882 for x=69/128 eps=1/4")
+    assert all(label.startswith("cos fmt=") and ": bound 'headline' violated: " in label
+               for label in report.failures)
