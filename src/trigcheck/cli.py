@@ -43,6 +43,33 @@ _rational = _argument_type(parse_rational)
 _format = _argument_type(FixFormat.parse)
 
 
+class _ConfigUnreadable(Exception):
+    """A --config read failure, apart from any other OSError while parsing."""
+
+
+class _ConfigFile(argparse.Action):
+    # each key=value line becomes one --key=value token, so -1/2 is not a
+    # flag; key=true becomes a bare --key, which sets a store_true flag
+    def __call__(self, parser, namespace, path, option_string=None) -> None:
+        tokens = []
+        try:
+            with open(path, encoding="utf-8") as handle:
+                for line in map(str.strip, handle):
+                    if line and not line.startswith("#"):
+                        key, _, value = (part.strip() for part in line.partition("="))
+                        tokens.append(f"--{key}" if value == "true" else f"--{key}={value}")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _ConfigUnreadable(exc) from None
+        setattr(namespace, self.dest, tokens)
+
+
+class _Subcommands(argparse._SubParsersAction):
+    # the config tokens go right after the subcommand name, so explicit flags win
+    def __call__(self, parser, namespace, values, option_string=None) -> None:
+        values = [values[0], *namespace.config, *values[1:]]
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _AtLeastOne(argparse.Action):
     # runs after type=int has parsed the value, so a non-integer keeps
     # argparse's own "invalid int value" message
@@ -56,9 +83,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="trigcheck",
                      description="Exact and fix-point trig computations "
                                  "with runtime-checked error bounds.")
-    parser.add_argument("--config", metavar="FILE",
+    parser.add_argument("--config", metavar="FILE", action=_ConfigFile, default=(),
                         help="flat key=value file supplying subcommand defaults")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, action=_Subcommands)
 
     p = sub.add_parser("pi", help="approximate pi by the alternating series")
     p.set_defaults(run=_run_oracle)
@@ -114,32 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(argv: list[str]) -> list[str]:
-    """Inject key=value pairs from --config FILE (or --config=FILE) as defaults
-    after the subcommand, each as one --key=value token so -1/2 is not a flag."""
-    argv = [part for token in argv
-            for part in (token.split("=", 1) if token.startswith("--config=") else [token])]
-    if "--config" not in argv:
-        return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        return argv
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
-    if not rest:
-        return rest
-    extra: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            extra.append(f"--{key.strip()}={value.strip()}")
-    # defaults go right after the subcommand so explicit flags win
-    return rest[:1] + extra + rest[1:]
-
-
 def _emit(payload: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(payload, sort_keys=True))
@@ -174,13 +175,10 @@ def _run_fixpoint(args) -> int:
     if args.trace:
         trace = (fixtrig.paired_trace_cos if cos else fixtrig.paired_trace_sin)(x, eps)
         result = trace.result
-        if args.trace.endswith(".json"):
-            with open(args.trace, "w", encoding="utf-8") as handle:
-                json.dump(fixtrig.trace_to_json_obj(trace.records), handle,
-                          sort_keys=True, indent=2)
-        else:
-            with open(args.trace, "w", encoding="utf-8", newline="") as handle:
-                handle.write(fixtrig.trace_to_csv(trace.records))
+        text = (json.dumps(fixtrig.trace_to_json_obj(trace.records), sort_keys=True, indent=2)
+                if args.trace.endswith(".json") else fixtrig.trace_to_csv(trace.records))
+        with open(args.trace, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
     else:
         result = (fixtrig.cos_fixpoint if cos else fixtrig.sin_fixpoint)(x, eps)
     _emit(result.as_dict(), args.json)
@@ -217,14 +215,11 @@ def _run_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config(argv)
-    except (OSError, UnicodeDecodeError) as exc:
+        args = build_parser().parse_args(argv)
+    except _ConfigUnreadable as exc:
         print(f"trigcheck: cannot read config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    args = parser.parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()

@@ -17,6 +17,7 @@ from .errors import IterationCapExceeded, NonPositiveEps
 
 DEFAULT_ITERATION_CAP = 1_000_000
 ITERATION_CAP_ENV = "TRIGCHECK_ITER_CAP"
+SCAN_ROW_BUDGET = 100_000
 
 
 def iteration_cap() -> int:
@@ -96,7 +97,7 @@ def scan_table(min_x: float, max_x: float, step: float,
     Returns (x, value) rows; x advances by binary32 addition so the printed
     abscissas drift the same way the original test harness drifted. A step
     too small to change x in binary32 would repeat the same row forever, so
-    it raises ValueError instead.
+    it raises ValueError instead, as does a scan past SCAN_ROW_BUDGET rows.
     """
     min_x = f32(min_x)
     max_x = f32(max_x)
@@ -111,6 +112,8 @@ def scan_table(min_x: float, max_x: float, step: float,
     rows: list[tuple[float, float]] = []
     x = min_x
     while x <= max_x:
+        if len(rows) == SCAN_ROW_BUDGET:
+            raise ValueError(f"scan exceeds the budget of {SCAN_ROW_BUDGET} rows")
         rows.append((x, cos_code_in_c(x, eps, cap=cap)))
         r[0] = x + step
         if r[0] == x:

@@ -182,3 +182,81 @@ def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("trigcheck: cannot read config: 'utf-8' codec can't decode byte 0xff")
     assert err.count("\n") == 1
+
+
+def usage_error(capsys, *argv) -> tuple[int, str, str]:
+    with pytest.raises(SystemExit) as info:
+        cli.main(list(argv))
+    captured = capsys.readouterr()
+    return info.value.code, captured.out, captured.err
+
+
+def test_config_option_may_be_abbreviated(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("eps=1/2\n")
+    expected = run_cli(capsys, "pi", "--eps", "1/2")
+    assert expected[0] == 0
+    assert run_cli(capsys, "--conf", str(config), "pi") == expected
+    assert run_cli(capsys, f"--conf={config}", "pi") == expected
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["pi", "--eps", "1/2"], "json"),
+    (["cos", "--x", "1/2", "--eps", "1/20"], "zerone"),
+    (["sin", "--x", "50", "--eps", "1e-8"], "unbounded"),
+    (["fixsin", "--format", "1/256:[-8,64]", "--eps", "1/4", "--x", "1/2"], "json"),
+])
+def test_config_sets_a_flag_by_key_true(tmp_path, capsys, argv, flag):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{flag}=true\n")
+    expected = run_cli(capsys, *argv, f"--{flag}")
+    assert expected[0] == 0
+    assert expected != run_cli(capsys, *argv)
+    assert run_cli(capsys, "--config", str(config), *argv) == expected
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("samples=0", ["verify", "--suite", "bounds"]),
+    ("cap=0", ["repro-table1", "--max", "1"]),
+])
+def test_config_value_goes_through_the_flags_check(tmp_path, capsys, line, argv):
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    code, out, err = usage_error(capsys, "--config", str(config), *argv)
+    assert (code, out) == (1, "")
+    assert err.endswith(f"argument --{line[:-2]}: must be at least 1, got 0\n")
+
+
+def test_config_flags_keep_their_mutual_exclusion(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("unbounded=true\nzerone=true\n")
+    code, out, err = usage_error(capsys, "--config", str(config), "cos", "--x", "1/2",
+                                 "--eps", "1/20")
+    assert (code, out) == (1, "")
+    assert "not allowed with argument" in err
+
+
+def test_config_with_an_unknown_key_is_usage_error(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("eps=1/2\nepsilon=1/4\n")
+    code, out, err = usage_error(capsys, "--config", str(config), "pi")
+    assert (code, out) == (1, "")
+    assert "--epsilon=1/4" in err
+
+
+def test_config_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "--config", str(tmp_path), "pi", "--eps", "1/2")
+    assert (code, out) == (1, "")
+    assert err.startswith("trigcheck: cannot read config: [Errno 21] Is a directory")
+    assert err.count("\n") == 1
+
+
+def test_only_a_config_read_failure_is_labelled_config(monkeypatch, capsys):
+    # any other OSError raised while parsing, here by an option's type, propagates
+    def closed_pipe(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(cli, "_rational", closed_pipe)
+    with pytest.raises(BrokenPipeError):
+        cli.main(["pi", "--eps", "1/2"])
+    assert "config" not in capsys.readouterr().err

@@ -115,3 +115,18 @@ def test_scan_stops_when_a_step_leaves_x_unchanged():
     # x climbs 1 - 4*2^-24, ..., 1 - 2^-24, 1 and then stops moving
     with pytest.raises(ValueError, match="x = 1.0 unchanged"):
         scan_table(f32(1 - 4 * 2.0**-24), f32(2), f32("3e-8"), EPS)
+
+
+def test_scan_stops_at_its_row_budget(monkeypatch):
+    # 0, 0.25, ..., 1 is five rows: a budget of five holds them, four does not
+    monkeypatch.setattr(floatrepro, "SCAN_ROW_BUDGET", 5)
+    assert len(scan_table(f32(0), f32(1), f32("0.25"), EPS)) == 5
+    monkeypatch.setattr(floatrepro, "SCAN_ROW_BUDGET", 4)
+    with pytest.raises(ValueError, match="budget of 4 rows"):
+        scan_table(f32(0), f32(1), f32("0.25"), EPS)
+
+
+def test_scan_budget_ends_a_fine_scan_early():
+    # about 2*10**7 rows without the budget; it stops at 10**5, near x = 0.1
+    with pytest.raises(ValueError, match="budget of 100000 rows"):
+        scan_table(f32(0), f32(30), f32("1e-6"), EPS)
