@@ -8,7 +8,7 @@ diverges for moderate arguments.
 """
 
 from . import errors
-from .exact import Rat, parse_rational, rat_str, to_decimal
+from .exact import parse_rational, rat_str, to_decimal
 from .fixpoint import FixFormat, FixNum
 from .fixtrig import (
     FixAlgoResult,
@@ -42,7 +42,6 @@ __all__ = [
     "FixFormat",
     "FixNum",
     "PairedTrace",
-    "Rat",
     "TraceRecord",
     "cos_code_in_c",
     "cos_fixpoint",

@@ -58,9 +58,7 @@ class BoundViolation(VerificationFailure):
 class RangeOverflow(ArithmeticError):
     """A fix-point result left the representable range [inf, sup]."""
 
-    def __init__(self, message: str, iteration: int | None = None) -> None:
-        self.iteration = iteration
-        super().__init__(message)
+    iteration: int | None = None  # set by the fix-point loop that catches it
 
 
 class FormatMismatch(ValueError):

@@ -16,8 +16,6 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
-Rat = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a decimal literal read exactly ("0.05" is 1/20)."""

@@ -135,9 +135,6 @@ class FixNum:
     def __neg__(self) -> FixNum:
         return self._exact_result(-self.m, "negation")
 
-    def __abs__(self) -> FixNum:
-        return self if self.m >= 0 else -self
-
     def __mul__(self, other: FixNum) -> FixNum:
         # the exact product is p/k^2, in range iff m_inf*k <= p <= m_sup*k
         self._require_same_format(other)
@@ -166,6 +163,7 @@ class FixNum:
     def __ceil__(self) -> int:
         return -((-self.m) // self.fmt.k)
 
+    # no __gt__/__ge__: Python reflects a > b to b < a and a >= b to b <= a
     def __lt__(self, other: FixNum) -> bool:
         self._require_same_format(other)
         return self.m < other.m
@@ -173,14 +171,6 @@ class FixNum:
     def __le__(self, other: FixNum) -> bool:
         self._require_same_format(other)
         return self.m <= other.m
-
-    def __gt__(self, other: FixNum) -> bool:
-        self._require_same_format(other)
-        return self.m > other.m
-
-    def __ge__(self, other: FixNum) -> bool:
-        self._require_same_format(other)
-        return self.m >= other.m
 
     def __str__(self) -> str:
         digits = _power_of_ten_exponent(self.fmt.k)

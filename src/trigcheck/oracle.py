@@ -6,11 +6,12 @@ returning a value the invariant no longer certifies. Every cos/sin loop here
 walks the loop heads of one Taylor recurrence, `_heads`, and differs from the
 others only in its stop rule; the fix-point tracer's exact twin takes its terms
 and sums from `_heads` too, and its counter from the definition (2n+s)! * eps.
-The Taylor and range-restricted (zerone) variants check each head with
-`_check_head`, whose accumulator clause compares against a partial sum of the
-definitional terms carried from head to head. The `*_unbounded` functions are
-the golden-data generators: plain truncated Taylor sums, valid for any
-rational argument, used as ground truth everywhere else; they check nothing.
+The Taylor and range-restricted (zerone) variants check each head in the
+loop of `_checked_series`, whose accumulator clause compares against a partial
+sum of the definitional terms carried from head to head. The `*_unbounded`
+functions are the golden-data generators: plain truncated Taylor sums, valid
+for any rational argument, used as ground truth everywhere else; they check
+nothing.
 """
 
 from __future__ import annotations
@@ -113,27 +114,6 @@ def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fractio
         fact *= step
 
 
-def _check_head(name: str, x: Fraction, shift: int, n: int, sign: int, term: Fraction,
-                acc: Fraction, partial: Fraction, ep: Fraction | None,
-                eps: Fraction) -> Fraction:
-    """Check the loop-head invariant at head n and return the partial sum for head n+1.
-
-    `partial` is the sum of the first n definitional terms, carried from head
-    to head, so the accumulator clause costs one addition per head. `ep` is
-    the zerone stop counter, None in the Taylor loop.
-    """
-    parity = 1 if n % 2 == 0 else -1
-    _invariant(sign == parity, name, "sign = (-1)^n")
-    fact = math.factorial(2 * n + shift)
-    if ep is not None:
-        _invariant(ep == parity * fact * eps,
-                   name, "ep = (-1)^n * (2n)! * eps scaled for parity")
-    expected_term = x ** (2 * n + shift) / fact
-    _invariant(term == expected_term, name, "term = x^(2n)/(2n)! scaled for parity")
-    _invariant(acc == partial, name, "accumulator = partial Taylor sum")
-    return partial + parity * expected_term
-
-
 def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> AlgoResult:
     """The checked Taylor loop behind cos/sin_taylor and cos/sin_zerone.
 
@@ -151,10 +131,21 @@ def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> Algo
     if zerone and not -1 <= x <= 1:
         raise ArgOutOfRange("-1 <= x <= 1", f"got {x}")
     shift = 1 if odd else 0
+    # the sum of the first n definitional terms, carried from head to head
     partial = x ** shift / math.factorial(shift)
     for n, sign, term, acc, fact in _heads(x, odd):
-        ep = sign * fact * eps if zerone else None
-        partial = _check_head(name, x, shift, n, sign, term, acc, partial, ep, eps)
+        # the loop-head invariant; (2n+s)! and x^(2n+s) are its definitional side
+        parity = 1 if n % 2 == 0 else -1
+        _invariant(sign == parity, name, "sign = (-1)^n")
+        def_fact = math.factorial(2 * n + shift)
+        if zerone:
+            ep = sign * fact * eps
+            _invariant(ep == parity * def_fact * eps,
+                       name, "ep = (-1)^n * (2n)! * eps scaled for parity")
+        def_term = x ** (2 * n + shift) / def_fact
+        _invariant(term == def_term, name, "term = x^(2n)/(2n)! scaled for parity")
+        _invariant(acc == partial, name, "accumulator = partial Taylor sum")
+        partial += parity * def_term
         if not (abs(ep) < 1 if zerone else eps < abs(term)):
             break
     if zerone:

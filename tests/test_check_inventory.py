@@ -21,10 +21,10 @@ CHECKS = {
     ("oracle", "pi_leibniz", "sign = (-1)^n"): "invariant",
     ("oracle", "pi_leibniz", "qp = sum of first n series terms"): "invariant",
     ("oracle", "pi_leibniz", "iterations = ceil(2/eps - 3/2)"): "invariant",
-    ("oracle", "_check_head", "sign = (-1)^n"): "invariant",
-    ("oracle", "_check_head", "ep = (-1)^n * (2n)! * eps scaled for parity"): "invariant",
-    ("oracle", "_check_head", "term = x^(2n)/(2n)! scaled for parity"): "invariant",
-    ("oracle", "_check_head", "accumulator = partial Taylor sum"): "invariant",
+    ("oracle", "_checked_series", "sign = (-1)^n"): "invariant",
+    ("oracle", "_checked_series", "ep = (-1)^n * (2n)! * eps scaled for parity"): "invariant",
+    ("oracle", "_checked_series", "term = x^(2n)/(2n)! scaled for parity"): "invariant",
+    ("oracle", "_checked_series", "accumulator = partial Taylor sum"): "invariant",
     ("fixtrig", "_run", "counter stays an exact factorial multiple of eps"): "invariant",
     ("fixtrig", "_run", "loop guards agree (lockstep)"): "invariant",
     ("fixtrig", "_run", "final n equals the minimal stop count"): "invariant",

@@ -133,6 +133,21 @@ def test_verification_failure_exit_code(capsys, monkeypatch):
     assert "verification failed" in err
 
 
+def test_failing_verify_run_lists_at_most_50_failures(capsys, monkeypatch):
+    # no real input fails a suite, so a fault in every cosine run stands in for one
+    def explode(x, eps):
+        raise BoundViolation("headline", detail="forced for the failing-suite test")
+
+    monkeypatch.setattr(cli.verify.fixtrig, "cos_fixpoint", explode)
+    code, out, err = run_cli(capsys, "verify", "--suite", "bounds", "--samples", "10")
+    lines = out.splitlines()
+    assert (code, err) == (3, "")
+    assert lines[0].startswith("FAIL suite=bounds seed=0 samples=10 ")
+    assert int(lines[0].rsplit("failures=", 1)[1]) > 50
+    assert len(lines) == 51
+    assert all(line.startswith("  FAIL cos fmt=") for line in lines[1:])
+
+
 def test_config_file_defaults(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# defaults for the pi run\neps = 1/2\n")

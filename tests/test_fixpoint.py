@@ -51,6 +51,8 @@ def test_rounding_kernel_boundary_band():
     assert TENTHS.from_rat(TENTHS.inf - half).to_rat() == TENTHS.inf
     with pytest.raises(RangeOverflow):
         TENTHS.from_rat(TENTHS.sup + half + Fraction(1, 1000))
+    with pytest.raises(RangeOverflow, match=r"undershoots inf=-2 by more than step/2"):
+        TENTHS.from_rat(TENTHS.inf - half - Fraction(1, 1000))
 
 
 @given(st.fractions(min_value=-2, max_value=2, max_denominator=10**4))
@@ -94,6 +96,23 @@ def test_format_mismatch_rejected():
         FixNum(1, TENTHS) + FixNum(1, K256)
     with pytest.raises(FormatMismatch):
         FixNum(1, TENTHS) < FixNum(1, K256)
+
+
+@pytest.mark.parametrize("op", [lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a < b])
+def test_non_fixnum_operand_rejected(op):
+    with pytest.raises(TypeError, match="expected FixNum, got int"):
+        op(FixNum(1, TENTHS), 1)
+
+
+def test_gt_ge_reflect_to_lt_le():
+    # FixNum defines only < and <=; > and >= reach them by reflection
+    one, two = FixNum(1, TENTHS), FixNum(2, TENTHS)
+    assert (two > one, one > two, one > one) == (True, False, False)
+    assert (two >= one, one >= two, one >= one) == (True, False, True)
+    with pytest.raises(FormatMismatch):
+        FixNum(1, TENTHS) > FixNum(1, K256)
+    with pytest.raises(FormatMismatch):
+        FixNum(1, TENTHS) >= FixNum(1, K256)
 
 
 def test_mul_div_examples():

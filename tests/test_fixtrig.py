@@ -125,6 +125,8 @@ def test_preconditions_reported_by_clause():
         cos_fixpoint(K256.exact(2), K256.exact(Fraction(1, 4)))
     with pytest.raises(FormatMismatch):
         cos_fixpoint(x, K65536.exact(Fraction(1, 4)))
+    with pytest.raises(TypeError, match="x and eps must be FixNum values"):
+        cos_fixpoint(Fraction(1, 2), K256.exact(Fraction(1, 4)))
 
     small_sup = FixFormat(16, Fraction(-1), Fraction(1))
     with pytest.raises(PreconditionViolation) as info:

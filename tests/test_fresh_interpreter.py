@@ -35,15 +35,18 @@ COMMANDS = [
 ]
 
 
+def _child_env() -> dict[str, str]:
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+
 def run_fresh(argv: list[str], block_numpy: bool,
               timeout: float = 120) -> subprocess.CompletedProcess:
     """cli.main(argv) in a new interpreter; with block_numpy, importing numpy fails."""
     block = "sys.modules['numpy'] = None" if block_numpy else ""
     script = f"import sys\n{block}\nfrom trigcheck import cli\nsys.exit(cli.main({argv!r}))"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, timeout=timeout)
+    return subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=timeout)
 
 
 def test_every_subcommand_runs_without_numpy():
@@ -70,6 +73,19 @@ def test_infinite_term_ends_the_row_at_once():
                       "--cap", "1000000000"], block_numpy=False, timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr == "trigcheck: no convergence within 1000000000 iterations\n"
+
+
+def test_closed_stdout_ends_quietly():
+    # about 30 000 rows, far past a pipe buffer, so a write meets the closed pipe;
+    # in a child, because the handler's os.dup2 must not reach this process's stdout
+    with subprocess.Popen([sys.executable, "-m", "trigcheck.cli", "repro-table1",
+                           "--step", "0.001"], env=_child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert err == b""
 
 
 def test_repro_table_defaults_are_binary32_bit_for_bit():
