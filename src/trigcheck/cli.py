@@ -231,7 +231,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"trigcheck: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except BrokenPipeError:
-        # the consumer closed the pipe (e.g. | head); exit quietly
+        # the consumer closed the pipe (e.g. | head); exit quietly, with stdout on
+        # devnull, as the flush at interpreter exit can raise this error again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
     except OSError as exc:

@@ -16,8 +16,6 @@ each gap is at most q^2 times the previous one plus (q+1)*c and stays below
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -177,10 +175,11 @@ def _invariant(condition: bool, where: str, clause: str) -> None:
         raise InvariantViolation(f"{where}: {clause}")
 
 
-def _check_preconditions(x: FixNum, eps: FixNum, odd: bool) -> int:
+def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     if not isinstance(x, FixNum) or not isinstance(eps, FixNum):
         raise TypeError("x and eps must be FixNum values")
-    if x.fmt != eps.fmt:
+    fmt = x.fmt
+    if fmt != eps.fmt:
         raise FormatMismatch("x and eps use different formats")
     eps_r = eps.to_rat()
     if not 0 < eps_r < 1:
@@ -189,25 +188,17 @@ def _check_preconditions(x: FixNum, eps: FixNum, odd: bool) -> int:
     if not -1 <= x_r <= 1:
         raise ArgOutOfRange("-1 <= x <= 1", f"got {x_r}")
     n_goal = sin_term_count(eps_r) if odd else cos_term_count(eps_r)
-    if n_goal > x.fmt.sup:
+    if n_goal > fmt.sup:
         raise PreconditionViolation(
             "stop counter representable",
-            f"need integer {n_goal} within [inf, sup] of {x.fmt}")
+            f"need integer {n_goal} within [inf, sup] of {fmt}")
     sup_needed = 2 * n_goal * (2 * n_goal + 1 if odd else 2 * n_goal - 1)
-    if x.fmt.sup < sup_needed:
+    if fmt.sup < sup_needed:
         raise PreconditionViolation(
             "sup large enough for counter scaling",
-            f"need sup >= {sup_needed}, format {x.fmt}")
-    return n_goal
-
-
-def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
+            f"need sup >= {sup_needed}, format {fmt}")
     name = "sin_fixpoint" if odd else "cos_fixpoint"
-    n_goal = _check_preconditions(x, eps, odd)
-    fmt = x.fmt
     delta = fmt.step
-    x_r = x.to_rat()
-    eps_r = eps.to_rat()
     shift = 1 if odd else 0
     one = fmt.from_int(1)
 
@@ -296,14 +287,12 @@ TRACE_CSV_HEADER = ["k", "tc", "cs", "tcfp", "csfp",
 
 
 def trace_to_csv(records: list[TraceRecord]) -> str:
-    """Render records as CSV with rationals in p/q form."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(TRACE_CSV_HEADER)
+    """Render records as CSV. No field needs quoting: each is k or a p/q rational."""
+    lines = [",".join(TRACE_CSV_HEADER)]
     for rec in records:
         row = rec.as_dict()
-        writer.writerow([row[column] for column in TRACE_CSV_HEADER])
-    return buffer.getvalue()
+        lines.append(",".join(str(row[column]) for column in TRACE_CSV_HEADER))
+    return "\n".join(lines) + "\n"
 
 
 def trace_to_json_obj(records: list[TraceRecord]) -> list[dict]:

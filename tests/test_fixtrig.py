@@ -138,6 +138,17 @@ def test_preconditions_reported_by_clause():
         cos_fixpoint(medium_sup.exact(Fraction(1, 2)), medium_sup.exact(Fraction(1, 16)))
     assert info.value.clause == "sup large enough for counter scaling"
 
+    # each input below fails two clauses; the one checked first is reported
+    with pytest.raises(TypeError):
+        cos_fixpoint(Fraction(1, 2), K65536.exact(1))
+    with pytest.raises(FormatMismatch):
+        cos_fixpoint(K256.exact(2), K65536.exact(1))
+    with pytest.raises(EpsOutOfRange):
+        cos_fixpoint(K256.exact(2), K256.exact(1))
+    wide_inf = FixFormat(16, Fraction(-4), Fraction(2))
+    with pytest.raises(ArgOutOfRange):
+        cos_fixpoint(wide_inf.exact(2), wide_inf.exact(Fraction(1, 16)))
+
 
 def test_range_overflow_carries_iteration():
     tight = FixFormat(256, Fraction(-1, 256), Fraction(64))
@@ -203,6 +214,34 @@ def test_trace_serialization_round_trip():
     assert mirror[0]["tcfp"] == "-1/8"
     assert "half" in mirror[0]
     assert mirror[0]["half"]["tcfp_half"] is not None
+
+
+def _csv_module_trace(records):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(TRACE_CSV_HEADER)
+    for rec in records:
+        row = rec.as_dict()
+        writer.writerow([row[column] for column in TRACE_CSV_HEADER])
+    return buffer.getvalue()
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["1/65536:[-8,1024]", "1/1099511627776:[-8,1024]"]),
+       st.sampled_from([paired_trace_cos, paired_trace_sin]), st.integers(1, 30), st.data())
+def test_trace_csv_matches_the_csv_module(fmt_text, run, scale, data):
+    fmt = FixFormat.parse(fmt_text)
+    x = FixNum(data.draw(st.integers(-fmt.k, fmt.k)), fmt)                  # [-1, 1]
+    eps = FixNum(data.draw(st.integers(-(-fmt.k >> scale), fmt.k - 1)), fmt)  # [2^-scale, 1)
+    records = run(x, eps).records
+    assert trace_to_csv(records) == _csv_module_trace(records)
+
+
+def test_trace_csv_of_a_one_term_run_is_the_header():
+    trace = paired_trace_cos(K65536.exact(Fraction(1, 2)), K65536.exact(Fraction(1, 2)))
+    assert trace.result.n == 1
+    header = "k,tc,cs,tcfp,csfp,delta,delta_bound,ep,epfp\n"
+    assert trace_to_csv(trace.records) == _csv_module_trace(trace.records) == header
 
 
 def test_fix_result_serialization():
