@@ -5,9 +5,11 @@ two rounding operations per accumulated term (a divide and a multiply by the
 argument). The stop counter is scaled by integer grid values only, which the
 datatype keeps exact, so at every head it equals (2k+s)! * eps, the exact
 loop's counter taken from its definition, and both loops stop at the same
-count. `paired_trace_cos`/`paired_trace_sin` run the fix-point loop in
-lockstep with the exact one, whose terms and sums come from `oracle._heads`,
-and check each term gap where it is made. With q = (1+step)/2 and
+count. Both counter clauses compare integer numerators over the grid's
+denominator fmt.k. `paired_trace_cos`/`paired_trace_sin` run the fix-point
+loop in lockstep with the exact one, whose terms and sums come from
+`oracle._heads`, and check each term gap where it is made, cross-multiplied
+into a comparison of integers. With q = (1+step)/2 and
 c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
 the gap before it plus c, and the next gap at most q times that plus c. So
 each gap is at most q^2 times the previous one plus (q+1)*c and stays below
@@ -118,7 +120,8 @@ def error_bound(n: int, delta: Fraction, eps: Fraction) -> Fraction:
         raise ValueError("delta must be in (0, 1)")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    return eps + Fraction(3 * n, 2) * delta / (1 - delta)
+    a, b = delta.numerator, delta.denominator
+    return eps + Fraction(3 * n * a, 2 * (b - a))
 
 
 def _term_count(eps: Fraction, odd: bool) -> int:
@@ -128,7 +131,7 @@ def _term_count(eps: Fraction, odd: bool) -> int:
     shift = 1 if odd else 0
     n = 1
     fact = 6 if odd else 2
-    while fact * eps < 1:
+    while fact * eps.numerator < eps.denominator:
         n += 1
         fact *= (2 * n + shift - 1) * (2 * n + shift)
     return n
@@ -175,6 +178,12 @@ def _invariant(condition: bool, where: str, clause: str) -> None:
         raise InvariantViolation(f"{where}: {clause}")
 
 
+def _past_cap(gap: Fraction, prev: Fraction | int, k: int) -> bool:
+    """|gap| > q*|prev| + c, cross-multiplied, for q = (k+1)/(2k) and c = 3/(4k) on step 1/k."""
+    return 4 * k * abs(gap.numerator) * prev.denominator > (
+        2 * (k + 1) * abs(prev.numerator) + 3 * prev.denominator) * gap.denominator
+
+
 def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     if not isinstance(x, FixNum) or not isinstance(eps, FixNum):
         raise TypeError("x and eps must be FixNum values")
@@ -182,10 +191,10 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     if fmt != eps.fmt:
         raise FormatMismatch("x and eps use different formats")
     eps_r = eps.to_rat()
-    if not 0 < eps_r < 1:
+    if not 0 < eps.m < fmt.k:
         raise EpsOutOfRange("0 < eps < 1", f"got {eps_r}")
     x_r = x.to_rat()
-    if not -1 <= x_r <= 1:
+    if not -fmt.k <= x.m <= fmt.k:
         raise ArgOutOfRange("-1 <= x <= 1", f"got {x_r}")
     n_goal = sin_term_count(eps_r) if odd else cos_term_count(eps_r)
     if n_goal > fmt.sup:
@@ -198,18 +207,18 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             "sup large enough for counter scaling",
             f"need sup >= {sup_needed}, format {fmt}")
     name = "sin_fixpoint" if odd else "cos_fixpoint"
-    delta = fmt.step
     shift = 1 if odd else 0
     one = fmt.from_int(1)
 
-    # exact twin: its counter (-1)^k * fact_eps is the definition itself; its
+    # exact twin: its counter (-1)^k * fact_eps_m steps is the definition itself; its
     # term (from the oracle's loop heads, carried signed so the gap is a plain
     # difference) and sum only feed the trace, whose gaps are checked where made
     if with_trace:
         heads = _heads(x_r, odd)
-        q = (1 + delta) / 2
-        gap_cap = Fraction(3, 2) * delta / (1 - delta)
-        first_gap_cap = Fraction(3, 4) * delta
+        # q = (1+step)/2, c = (3/4)*step and (3/2)*step/(1-step), for step = 1/fmt.k
+        q = Fraction(fmt.k + 1, 2 * fmt.k)
+        gap_cap = Fraction(3, 2 * (fmt.k - 1))
+        first_gap_cap = Fraction(3, 4 * fmt.k)
         # no gap-step check: half-gap at k-1 and half-gap-step at k compose into it
         # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
 
@@ -221,13 +230,12 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         tcfp = -((xx * x) / fmt.from_int(6) if odd else xx / fmt.from_int(2))
         epfp = fmt.from_int(6 if odd else 2) * eps
         while True:
-            fact_eps = math.factorial(2 * k + shift) * eps_r
-            ep_fix = epfp.to_rat()
-            _invariant(ep_fix == fact_eps, name,
+            fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
+            _invariant(epfp.m == fact_eps_m, name,
                        "counter stays an exact factorial multiple of eps")
-            # no exact-counter check: the twin's counter is fact_eps itself, not a copy
+            # no exact-counter check: the twin's counter is fact_eps_m itself, not a copy
             guard = epfp < one
-            _invariant(guard == (fact_eps < 1), name, "loop guards agree (lockstep)")
+            _invariant(guard == (fact_eps_m < fmt.k), name, "loop guards agree (lockstep)")
             if not guard:
                 break
             if with_trace:
@@ -235,12 +243,13 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
                 tc_e = term if sign > 0 else -term
                 tcfp_r = tcfp.to_rat()
                 gap = tcfp_r - tc_e
-                if k == 1 and abs(gap) > first_gap_cap:
+                if k == 1 and _past_cap(gap, 0, fmt.k):
                     raise BoundViolation("first-gap", k=1, detail=f"{gap}")
-                if k > 1 and abs(gap) > q * abs(half_gap) + first_gap_cap:
+                if k > 1 and _past_cap(gap, half_gap, fmt.k):
                     raise BoundViolation("half-gap-step", k=k)
                 head = (k, tc_e, acc_e, tcfp_r, accfp.to_rat(), gap,
-                        gap_cap * (1 - q ** (2 * k - 1)), sign * fact_eps, ep_fix)
+                        gap_cap * (1 - q ** (2 * k - 1)),
+                        Fraction(sign * fact_eps_m, fmt.k), epfp.to_rat())
             accfp = accfp + tcfp
             k += 1
             fac1 = 2 * k + shift - 1   # 2k-1 for cosine, 2k for sine
@@ -252,7 +261,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
                 tc_half = tc_e * x_r / fac1
                 tcfp_half_r = tcfp_half.to_rat()
                 half_gap = tcfp_half_r - tc_half
-                if abs(half_gap) > q * abs(gap) + first_gap_cap:
+                if _past_cap(half_gap, gap, fmt.k):
                     raise BoundViolation("half-gap", k=k - 1)
                 records.append(TraceRecord(*head, HalfStep(tc_half, tcfp_half_r, half_gap)))
     except RangeOverflow as exc:
@@ -261,7 +270,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
 
     n = k
     _invariant(n == n_goal, name, "final n equals the minimal stop count")
-    bound = error_bound(n, delta, eps_r)
+    bound = error_bound(n, fmt.step, eps_r)
     slack = eps_r / ORACLE_SLACK_DIVISOR
     reference_fn = sin_unbounded if odd else cos_unbounded
     reference = reference_fn(x_r, slack)

@@ -1,17 +1,18 @@
 """Exact-arithmetic series algorithms with their loop contracts checked as they run.
 
-Each routine executes its imperative loop over `Fraction` values and re-checks
+Each routine executes its imperative loop over exact rationals and re-checks
 the loop-head invariant on every pass, raising InvariantViolation instead of
 returning a value the invariant no longer certifies. Every cos/sin loop here
-walks the loop heads of one Taylor recurrence, `_heads`, and differs from the
-others only in its stop rule; the fix-point tracer's exact twin takes its terms
-and sums from `_heads` too, and its counter from the definition (2n+s)! * eps.
-The Taylor and range-restricted (zerone) variants check each head in the
-loop of `_checked_series`, whose accumulator clause compares against a partial
-sum of the definitional terms carried from head to head. The `*_unbounded`
-functions are the golden-data generators: plain truncated Taylor sums, valid
-for any rational argument, used as ground truth everywhere else; they check
-nothing.
+walks the heads of one Taylor recurrence, `_scaled_heads`, which carries
+integer numerators over one running denominator, and differs from the others
+only in its stop rule. `_heads` is its Fraction view. The fix-point tracer's
+exact twin takes its terms and sums from that view, and its counter from the
+definition (2n+s)! * eps. The Taylor and range-restricted (zerone) variants
+check each head of the view in the loop of `_checked_series`, whose
+accumulator clause compares against a partial sum of the definitional terms
+carried from head to head. The `*_unbounded` functions are the golden-data
+generators: plain truncated Taylor sums, valid for any rational argument,
+used as ground truth everywhere else; they read the integers and check nothing.
 """
 
 from __future__ import annotations
@@ -89,29 +90,36 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
     return AlgoResult(4 * qp, n - 1, eps)
 
 
-def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:
-    """Loop heads (n, sign, term, acc, fact) of the cos (odd=False) or sin Taylor loop.
+def _scaled_heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Loop heads (n, sign, t, a, d, fact) of the cos (odd=False) or sin Taylor loop.
 
-    At head n >= 1: sign = (-1)^n, term = x^(2n+s)/(2n+s)! (signed for odd
-    powers of a negative argument), acc = the sum of the first n signed terms
-    and fact = (2n+s)!, with s = 1 for sine and 0 for cosine. Endless; each
-    consumer applies its own stop rule.
+    For x = p/q, at head n >= 1 with m = 2n+s (s = 1 for sine, 0 for cosine):
+    sign = (-1)^n, fact = m!, d = q^m * m!, term x^m/m! = t/d with t = p^m
+    (signed for odd powers of a negative argument), and acc = a/d, the sum of
+    the first n signed terms. Nothing is reduced: each step multiplies a and d
+    by q^2 * (m+1)(m+2) and t by p^2. It starts from head 0, the term x^s/s!
+    and an empty sum, which it does not yield. Endless; each consumer applies
+    its own stop rule.
     """
+    p, q = x.numerator, x.denominator
     shift = 1 if odd else 0
-    x2 = x * x
-    acc = x if odd else Fraction(1)
-    term = x2 * x / 6 if odd else x2 / 2
-    fact = 6 if odd else 2
-    n = 1
-    sign = -1
+    n, sign, t, a, d, fact = 0, 1, p ** shift, 0, q ** shift, 1
     while True:
-        yield n, sign, term, acc, fact
-        acc = acc + term if sign > 0 else acc - term
+        a = a + t if sign > 0 else a - t
         n += 1
         sign = -sign
         step = (2 * n + shift - 1) * (2 * n + shift)
-        term = term * x2 / step
+        t *= p * p
+        a *= q * q * step
+        d *= q * q * step
         fact *= step
+        yield n, sign, t, a, d, fact
+
+
+def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:
+    """The Fraction view (n, sign, term, acc, fact) of `_scaled_heads`."""
+    for n, sign, t, a, d, fact in _scaled_heads(x, odd):
+        yield n, sign, Fraction(t, d), Fraction(a, d), fact
 
 
 def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> AlgoResult:
@@ -179,11 +187,13 @@ def _unbounded(x: Fraction, eps: Fraction, odd: bool) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise NonPositiveEps("eps > 0", f"got {eps}")
-    previous = x if odd else Fraction(1)
-    for _, _, term, acc, _ in _heads(x, odd):
-        if abs(previous) <= eps:
-            return acc
-        previous = term
+    e_num, e_den = eps.numerator, eps.denominator
+    # the term before head 1, x^s/s!, over q^s; stop once it is <= eps
+    t_prev, d_prev = (x.numerator, x.denominator) if odd else (1, 1)
+    for _, _, t, a, d, _ in _scaled_heads(x, odd):
+        if abs(t_prev) * e_den <= e_num * d_prev:
+            return Fraction(a, d)
+        t_prev, d_prev = t, d
 
 
 def cos_unbounded(x: Fraction, eps: Fraction) -> Fraction:

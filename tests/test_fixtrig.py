@@ -371,6 +371,79 @@ def test_half_gap_is_live(run, divisor, monkeypatch):
     assert (info.value.bound, info.value.k) == ("half-gap", 1)
 
 
+def _gap_on(at: int, gap: Fraction, target: Fraction):
+    """`_perturbed_heads` that turns the gap at head `at`, now `gap`, into `target`."""
+    # the gap is the fix-point term minus the signed exact term (-1)^at * term
+    return _perturbed_heads(at, (-1) ** at * (gap - target))
+
+
+@pytest.mark.parametrize("run", [paired_trace_cos, paired_trace_sin])
+def test_gap_caps_are_strict_at_exact_ties(run):
+    # each gap put exactly on its cap (c at head 1, else q*|half-step gap before| + c)
+    # passes; one unit of the cap's reduced denominator past it raises, so the
+    # cross-multiplied checks compare with > and not >=
+    q, c, _ = _gap_caps(K65536)
+    x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
+    records = run(x, eps).records
+    assert len(records) >= 2
+    for i, rec in enumerate(records, 1):
+        cap = c if i == 1 else q * abs(records[i - 2].half.delta_half) + c
+        sign = 1 if rec.delta >= 0 else -1
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fixtrig, "_heads", _gap_on(i, rec.delta, sign * cap))
+            assert abs(run(x, eps).records[i - 1].delta) == cap
+            past = sign * (cap + Fraction(1, cap.denominator))
+            mp.setattr(fixtrig, "_heads", _gap_on(i, rec.delta, past))
+            with pytest.raises(BoundViolation) as info:
+                run(x, eps)
+        expected = "first-gap" if i == 1 else "half-gap-step"
+        assert (info.value.bound, info.value.k) == (expected, i)
+
+
+def _shifted_half_step(x: FixNum, fac1: int, units: int) -> FixNum:
+    """x, whose quotient x / fac1, the factor of a half step, comes out `units` steps high."""
+    class Shifted(FixNum):
+        __slots__ = ()
+
+        def __truediv__(self, other: FixNum) -> FixNum:
+            quotient = FixNum.__truediv__(self, other)
+            if other.m != fac1 * other.fmt.k:
+                return quotient
+            return FixNum(quotient.m + units, quotient.fmt)
+    return Shifted(x.m, x.fmt)
+
+
+def test_half_gap_is_strict_at_an_exact_tie():
+    # A moved exact term alone never reaches half-gap: the half-step gap moves by
+    # |x|/3 < q of what the gap moves. So the half step of iteration 1 gets the factor
+    # x/3 four steps high; then the signed exact term at head 1 moves by u, which makes
+    # the gap g - u and the half-step gap h - u*x/3. Here the gap stays positive and
+    # the half-step gap negative, so u solves -(h - u*x/3) = q*(g - u) + c + over.
+    q, c, _ = _gap_caps(K65536)
+    x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
+    rec = paired_trace_cos(x, eps).records[0]
+    r = x.to_rat() / 3
+    factor = FixNum((x / K65536.from_int(3)).m + 4, K65536)
+    h = (K65536.exact(rec.tcfp) * factor).to_rat() - rec.tc_exact * r
+    shifted = _shifted_half_step(x, 3, 4)
+
+    def gap_for(over: Fraction) -> Fraction:
+        u = (h + q * rec.delta + c + over) / (q + r)
+        assert 0 <= rec.delta - u <= c and h - u * r <= 0  # first-gap holds; signs as assumed
+        return rec.delta - u
+
+    gap = gap_for(Fraction(0))
+    cap = q * gap + c
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixtrig, "_heads", _gap_on(1, rec.delta, gap))
+        tied = paired_trace_cos(shifted, eps).records[0]
+        assert (tied.delta, tied.half.delta_half) == (gap, -cap)
+        mp.setattr(fixtrig, "_heads", _gap_on(1, rec.delta, gap_for(Fraction(1, cap.denominator))))
+        with pytest.raises(BoundViolation) as info:
+            paired_trace_cos(shifted, eps)
+    assert (info.value.bound, info.value.k) == ("half-gap", 1)
+
+
 def _first_invariant(run, fmt: FixFormat, x: Fraction, eps: Fraction) -> str:
     with pytest.raises(InvariantViolation) as info:
         run(fmt.exact(x), fmt.exact(eps))

@@ -4,12 +4,17 @@ Values, iteration counts, exception types and exception messages must all
 match, on hypothesis draws and on anchor inputs: x = 0, +-1, +-3, eps equal
 to a term or to a stop-counter threshold (the `<` against `<=` ties), and
 eps >= 1 for the unbounded generators; for `pi_leibniz`, eps >= 4, eps <= 0
-and eps ending the loop near head 64.
+and eps ending the loop near head 64. The integer recurrence under the
+unbounded generators and the `_heads` view is also drawn at the benchmark's
+ranges, |x| <= 50 over denominators up to 2^40, where its unreduced
+numerators grow largest.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -139,3 +144,40 @@ def test_tracer_exact_twin_anchors(odd):
             exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.half.tc_half)
                      for r in trace.records]
             assert exact == ref.exact_twin(x, eps, odd)
+
+
+# the benchmark's grids and unbounded calls: |x| <= 50 over these denominators
+WORKLOAD_DENOMINATORS = (1000, 65536, 2**40)
+WORKLOAD_EPS = [Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(1, 10**8)]
+workload_x = st.sampled_from(WORKLOAD_DENOMINATORS).flatmap(
+    lambda q: st.builds(Fraction, st.integers(-50 * q, 50 * q), st.just(q)))
+workload_eps = st.one_of(st.sampled_from(WORKLOAD_EPS),
+                         st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**40)))
+
+
+def test_unbounded_anchors_at_the_workload_ranges():
+    xs = [Fraction(50), Fraction(-50)] + [sign * Fraction(50 * q - 1, q)
+                                          for q in WORKLOAD_DENOMINATORS for sign in (1, -1)]
+    for name in ("cos_unbounded", "sin_unbounded"):
+        for x in xs:
+            for eps in WORKLOAD_EPS:
+                assert_same(name, x, eps)
+    # the `golden` subcommand's input
+    assert oracle.cos_unbounded(Fraction(50), Fraction(1, 10**8)) == ref.cos_unbounded(
+        Fraction(50), Fraction(1, 10**8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(x=workload_x, eps=workload_eps, name=st.sampled_from(["cos_unbounded", "sin_unbounded"]))
+def test_unbounded_at_the_workload_ranges(x, eps, name):
+    assert_same(name, x, eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=workload_x, odd=st.booleans(), n=st.integers(1, 40))
+def test_heads_view_at_the_workload_ranges(x, odd, n):
+    # the reference twin runs while (2k+s)! * eps < 1, so this eps gives it heads 1 .. n-1
+    eps = Fraction(1, math.factorial(2 * n + (1 if odd else 0)))
+    view = [(k, sign * term, acc, sign * fact * eps)
+            for k, sign, term, acc, fact in islice(oracle._heads(x, odd), n - 1)]
+    assert view == [head[:4] for head in ref.exact_twin(x, eps, odd)]
