@@ -5,14 +5,14 @@ the loop-head invariant on every pass, raising InvariantViolation instead of
 returning a value the invariant no longer certifies. Every cos/sin loop here
 walks the heads of one Taylor recurrence, `_scaled_heads`, which carries
 integer numerators over one running denominator, and differs from the others
-only in its stop rule. `_heads` is its Fraction view. The fix-point tracer's
-exact twin takes its terms and sums from that view, and its counter from the
-definition (2n+s)! * eps. The Taylor and range-restricted (zerone) variants
-check each head of the view in the loop of `_checked_series`, whose
-accumulator clause compares against a partial sum of the definitional terms
-carried from head to head. The `*_unbounded` functions are the golden-data
-generators: plain truncated Taylor sums, valid for any rational argument,
-used as ground truth everywhere else; they read the integers and check nothing.
+only in its stop rule. `_checked_series` (the Taylor and range-restricted
+zerone variants) checks each head by integer cross-multiplication against
+powers, factorials and a partial sum of the definitional terms carried from
+head to head; `pi_leibniz` sums over an integer lcm. Each builds one Fraction,
+its result. `_heads`, the Fraction view, serves the fix-point tracer's exact
+twin. The `*_unbounded` functions are the golden-data generators: plain
+truncated Taylor sums, valid for any rational argument, used as ground truth
+everywhere else; they read the integers and check nothing.
 """
 
 from __future__ import annotations
@@ -54,9 +54,9 @@ def _invariant(condition: bool, where: str, clause: str) -> None:
 
 # pi_leibniz checks its partial-sum clause, against a sum of the definitional
 # terms carried from head to head, at heads up to this index only: carrying it
-# further doubles the loop's big Fraction additions (eps = 1e-4 runs 20 000
-# heads). Later heads still check the sign, and the sum then holds inductively,
-# as each term the loop adds is built from the checked sign and index.
+# further adds a big Fraction sum to each head's small integer update (eps =
+# 1e-4 runs 20 000 heads). Later heads check the sign, and the sum holds
+# inductively, as each added term is built from the checked sign and index.
 FULL_SUM_CHECK_LIMIT = 64
 
 
@@ -69,25 +69,26 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
     eps = Fraction(eps)
     if eps <= 0:
         raise NonPositiveEps("eps > 0", f"got {eps}")
-    qp = Fraction(1)
-    n = 1
-    sign = -1
+    num = den = 1  # qp = num/den over den = lcm(1, 3, ..., 2n-1), unreduced
+    n, sign = 1, -1
     quarter = eps / 4
     partial = Fraction(1)
     while True:
         _invariant(sign == (1 if n % 2 == 0 else -1), "pi_leibniz", "sign = (-1)^n")
         if n <= FULL_SUM_CHECK_LIMIT:
-            _invariant(qp == partial, "pi_leibniz", "qp = sum of first n series terms")
+            _invariant(num * partial.denominator == partial.numerator * den,
+                       "pi_leibniz", "qp = sum of first n series terms")
             partial += Fraction(1 if n % 2 == 0 else -1, 2 * n + 1)
-        # guard eps/4 < 1/(2n+1), done in integers to keep heads cheap
-        if quarter.numerator * (2 * n + 1) >= quarter.denominator:
+        if quarter.numerator * (2 * n + 1) >= quarter.denominator:  # guard eps/4 < 1/(2n+1)
             break
-        qp += Fraction(sign, 2 * n + 1)
+        scale = (2 * n + 1) // math.gcd(den, 2 * n + 1)  # den becomes lcm(den, 2n+1)
+        den *= scale
+        num = num * scale + sign * (den // (2 * n + 1))
         n += 1
         sign = -sign
     expected = max(0, math.ceil(Fraction(2) / eps - Fraction(3, 2)))
     _invariant(n - 1 == expected, "pi_leibniz", "iterations = ceil(2/eps - 3/2)")
-    return AlgoResult(4 * qp, n - 1, eps)
+    return AlgoResult(4 * Fraction(num, den), n - 1, eps)
 
 
 def _scaled_heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, int, int, int, int]]:
@@ -125,12 +126,11 @@ def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fractio
 def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> AlgoResult:
     """The checked Taylor loop behind cos/sin_taylor and cos/sin_zerone.
 
-    Taylor (zerone=False) stops at the first head whose term has |term| <= eps
-    and counts the terms accumulated after the first; there |x| <= 2n+s, so
-    the alternating-series bound applies. Zerone requires |x| <= 1 and
-    does not test the term: it stops once its counter
-    ep = (-1)^n * (2n)! * eps (sine: (2n+1)!) reaches |ep| >= 1, at which point
-    eps >= 1/(2n)! >= |term| certifies the result, and reports the final n,
+    Taylor (zerone=False) stops at the first head with |term| <= eps, where
+    |x| <= 2n+s and the alternating-series bound applies, and counts the terms
+    accumulated after the first. Zerone requires |x| <= 1 and stops once its
+    counter ep = (-1)^n * (2n)! * eps (sine: (2n+1)!) reaches |ep| >= 1, where
+    eps >= 1/(2n)! >= |term| certifies the result; it reports the final n,
     min{N : (2N)! * eps >= 1} (sine: (2N+1)!).
     """
     name = ("sin_" if odd else "cos_") + ("zerone" if zerone else "taylor")
@@ -139,27 +139,27 @@ def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> Algo
     if zerone and not -1 <= x <= 1:
         raise ArgOutOfRange("-1 <= x <= 1", f"got {x}")
     shift = 1 if odd else 0
-    # the sum of the first n definitional terms, carried from head to head
-    partial = x ** shift / math.factorial(shift)
-    for n, sign, term, acc, fact in _heads(x, odd):
-        # the loop-head invariant; (2n+s)! and x^(2n+s) are its definitional side
+    (p, q), (e_num, e_den) = x.as_integer_ratio(), eps.as_integer_ratio()
+    pn, pd = p ** shift, q ** shift  # sum of the first n definitional terms, over q^m * m!
+    for n, sign, t, a, d, fact in _scaled_heads(x, odd):
+        # the head invariant over the unreduced d; m!, p^m, q^m are its definitional side
+        m = 2 * n + shift
         parity = 1 if n % 2 == 0 else -1
         _invariant(sign == parity, name, "sign = (-1)^n")
-        def_fact = math.factorial(2 * n + shift)
+        def_fact = math.factorial(m)
         if zerone:
-            ep = sign * fact * eps
-            _invariant(ep == parity * def_fact * eps,
+            _invariant(sign * fact == parity * def_fact,  # eps > 0 cancels
                        name, "ep = (-1)^n * (2n)! * eps scaled for parity")
-        def_term = x ** (2 * n + shift) / def_fact
-        _invariant(term == def_term, name, "term = x^(2n)/(2n)! scaled for parity")
-        _invariant(acc == partial, name, "accumulator = partial Taylor sum")
-        partial += parity * def_term
-        if not (abs(ep) < 1 if zerone else eps < abs(term)):
+        def_t, def_d = p ** m, q ** m * def_fact
+        _invariant(t * def_d == def_t * d, name, "term = x^(2n)/(2n)! scaled for parity")
+        pn, pd = pn * (def_d // pd), def_d
+        _invariant(a * pd == pn * d, name, "accumulator = partial Taylor sum")
+        pn += parity * def_t
+        # zerone stops once |ep| = fact * eps >= 1, Taylor once |term| <= eps
+        if not (fact * e_num < e_den if zerone else e_num * d < abs(t) * e_den):
             break
-    if zerone:
-        return AlgoResult(acc, n, eps)
-    # |x| <= m = 2n+s holds unchecked: |x|^m/m! = |term| <= eps < 1 and m! <= m^m
-    return AlgoResult(acc, n - 1, eps)
+    # Taylor: |x| <= m = 2n+s holds unchecked, as |x|^m/m! = |term| <= eps < 1 and m! <= m^m
+    return AlgoResult(Fraction(a, d), n if zerone else n - 1, eps)
 
 
 def cos_taylor(x: Fraction, eps: Fraction) -> AlgoResult:

@@ -42,6 +42,12 @@ CASES = {
                                None, None),
     "sin-unbounded-json": (["sin", "--x", "1", "--eps", "1/1000", "--unbounded", "--json"],
                            None, None),
+    # past head 64 (about 85 heads), where the checked loops' integers grow to
+    # hundreds of digits
+    "cos-zerone-deep": (["cos", "--x", "1", "--eps", "1e-300", "--zerone"], None, None),
+    "sin-taylor-deep-negative-json": (["sin", "--x=-7/8", "--eps", "1e-300", "--json"],
+                                      None, None),
+    "pi-deep": (["pi", "--eps", "1/700"], None, None),
     "fixcos-json": (["fixcos", "--format", FINE, "--eps", "1/4096", "--x=-1/2", "--json"],
                     None, None),
     "fixsin": (["fixsin", "--format", UNIT, "--eps", "1/4", "--x", "1"], None, None),

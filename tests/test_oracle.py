@@ -215,28 +215,28 @@ def test_accumulator_clause_is_checked_past_head_64(fn, monkeypatch):
     from trigcheck import oracle
     from trigcheck.errors import InvariantViolation
 
-    heads = oracle._heads
+    heads = oracle._scaled_heads
 
     def faulty(x, odd):
-        for n, sign, term, acc, fact in heads(x, odd):
+        for n, sign, t, a, d, fact in heads(x, odd):
             if n == 70:
-                acc += Fraction(1, 10**400)
-            yield n, sign, term, acc, fact
+                # acc = a/d moves by 10^-400; the term t/d keeps its value
+                t, a, d = t * 10**400, a * 10**400 + d, d * 10**400
+            yield n, sign, t, a, d, fact
 
-    monkeypatch.setattr(oracle, "_heads", faulty)
+    monkeypatch.setattr(oracle, "_scaled_heads", faulty)
     with pytest.raises(InvariantViolation, match="accumulator = partial Taylor sum"):
         fn(Fraction(1), Fraction(1, 10**300))
 
 
-
 # (name, fault applied to a head tuple, the clause that must catch it, routines)
 HEAD_FAULTS = [
-    ("sign", lambda n, sign, term, acc, fact: (n, -sign, term, acc, fact),
+    ("sign", lambda n, sign, t, a, d, fact: (n, -sign, t, a, d, fact),
      "sign = (-1)^n", (cos_taylor, sin_taylor, cos_zerone, sin_zerone)),
-    ("term", lambda n, sign, term, acc, fact: (n, sign, 2 * term, acc, fact),
+    ("term", lambda n, sign, t, a, d, fact: (n, sign, 2 * t, a, d, fact),
      "term = x^(2n)/(2n)! scaled for parity", (cos_taylor, sin_taylor, cos_zerone, sin_zerone)),
     # only the zerone loops read fact, through their stop counter
-    ("fact", lambda n, sign, term, acc, fact: (n, sign, term, acc, fact + 1),
+    ("fact", lambda n, sign, t, a, d, fact: (n, sign, t, a, d, fact + 1),
      "ep = (-1)^n * (2n)! * eps scaled for parity", (cos_zerone, sin_zerone)),
 ]
 
@@ -249,12 +249,47 @@ def test_each_head_clause_catches_its_fault(corrupt, clause, fn, monkeypatch):
     from trigcheck import oracle
     from trigcheck.errors import InvariantViolation
 
-    heads = oracle._heads
+    heads = oracle._scaled_heads
 
     def faulty(x, odd):
         for head in heads(x, odd):
             yield corrupt(*head) if head[0] == 3 else head
 
-    monkeypatch.setattr(oracle, "_heads", faulty)
+    monkeypatch.setattr(oracle, "_scaled_heads", faulty)
     with pytest.raises(InvariantViolation, match=re.escape(f"invariant clause failed: {clause}")):
         fn(Fraction(3, 4), Fraction(1, 10**12))
+
+
+# one unit in the last place of a head's unreduced numerator: d has about 240
+# digits at x = 1 (140! or 141!) and about 660 at x over 1000 (times 1000^140)
+ONE_UNIT_FAULTS = [
+    ("acc", lambda n, sign, t, a, d, fact: (n, sign, t, a + 1, d, fact),
+     "accumulator = partial Taylor sum"),
+    ("term", lambda n, sign, t, a, d, fact: (n, sign, t + 1, a, d, fact),
+     "term = x^(2n)/(2n)! scaled for parity"),
+]
+
+
+@pytest.mark.parametrize("x", [Fraction(1), Fraction(-999, 1000)], ids=["x=1", "x=-999/1000"])
+@pytest.mark.parametrize("fn", [cos_taylor, sin_taylor, cos_zerone, sin_zerone])
+@pytest.mark.parametrize("corrupt, clause", [
+    pytest.param(corrupt, clause, id=name) for name, corrupt, clause in ONE_UNIT_FAULTS])
+def test_one_unit_fault_at_head_70_is_caught(corrupt, clause, fn, x, monkeypatch):
+    # the clauses compare cross-multiplied integers, so no digit of a or t is lost
+    from trigcheck import oracle
+    from trigcheck.errors import InvariantViolation
+
+    heads = oracle._scaled_heads
+    digits = []
+
+    def faulty(x, odd):
+        for head in heads(x, odd):
+            if head[0] == 70:
+                digits.append(math.log10(head[4]))
+                head = corrupt(*head)
+            yield head
+
+    monkeypatch.setattr(oracle, "_scaled_heads", faulty)
+    with pytest.raises(InvariantViolation, match=re.escape(f"invariant clause failed: {clause}")):
+        fn(x, Fraction(1, 10**300))
+    assert digits[0] > (660 if x.denominator == 1000 else 240)

@@ -7,7 +7,8 @@ eps >= 1 for the unbounded generators; for `pi_leibniz`, eps >= 4, eps <= 0
 and eps ending the loop near head 64. The integer recurrence under the
 unbounded generators and the `_heads` view is also drawn at the benchmark's
 ranges, |x| <= 50 over denominators up to 2^40, where its unreduced
-numerators grow largest.
+numerators grow largest, and the checked loops at the benchmark's depth,
+eps down to 1e-300 at 1/2 <= |x| <= 1.
 """
 
 from __future__ import annotations
@@ -80,6 +81,19 @@ small_eps = st.builds(Fraction, st.integers(-2, 50), st.integers(1, 10**40))
 @given(x=unit_rationals, eps=small_eps, name=st.sampled_from(sorted(PAIRS)))
 def test_unit_arguments(x, eps, name):
     assert_same(name, x, eps)
+
+
+# the benchmark's bounded calls: 1/2 <= |x| <= 1 and eps down to 1e-300, where
+# the checked loops run about 85 heads over numerators of hundreds of digits
+deep_unit_rationals = st.integers(1000, 1100).flatmap(lambda q: st.builds(
+    Fraction, st.integers((q + 1) // 2, q) | st.integers(-q, -((q + 1) // 2)), st.just(q)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=deep_unit_rationals, k=st.integers(41, 300),
+       name=st.sampled_from(["cos_taylor", "sin_taylor", "cos_zerone", "sin_zerone"]))
+def test_checked_loops_at_the_benchmark_depth(x, k, name):
+    assert_same(name, x, Fraction(1, 10**k))
 
 
 @settings(max_examples=150, deadline=None)
