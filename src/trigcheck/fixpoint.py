@@ -157,12 +157,6 @@ class FixNum:
             raise RangeOverflow(f"exact quotient {Fraction(p, q)} leaves range")
         return FixNum(_round_half_even(kp, q), fmt)
 
-    def __floor__(self) -> int:
-        return self.m // self.fmt.k
-
-    def __ceil__(self) -> int:
-        return -((-self.m) // self.fmt.k)
-
     # no __gt__/__ge__: Python reflects a > b to b < a and a >= b to b <= a
     def __lt__(self, other: FixNum) -> bool:
         self._require_same_format(other)

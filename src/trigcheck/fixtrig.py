@@ -2,23 +2,25 @@
 
 The algorithms mirror the exact range-restricted routines in `oracle`, with
 two rounding operations per accumulated term (a divide and a multiply by the
-argument). The stop counter is scaled by integer grid values only, which the
-datatype keeps exact, so at every head it equals (2k+s)! * eps, the exact
-loop's counter taken from its definition, and both loops stop at the same
-count. Both counter clauses compare integer numerators over the grid's
-denominator fmt.k. `paired_trace_cos`/`paired_trace_sin` run the fix-point
-loop in lockstep with the exact one, whose terms and sums come from
-`oracle._heads`, and check each term gap where it is made, cross-multiplied
-into a comparison of integers. With q = (1+step)/2 and
+argument). As in `oracle`, one generator, `_fix_heads`, holds the recurrence,
+and `_run` only checks its heads. The stop counter is scaled by integer grid
+values only, which the datatype keeps exact, so at every head it equals
+(2k+s)! * eps, the exact loop's counter taken from its definition, and both
+loops stop at the same count. Both counter clauses compare integer numerators
+over the grid's denominator fmt.k. `paired_trace_cos`/`paired_trace_sin` run
+the fix-point loop in lockstep with the exact one, whose terms and sums come
+from `oracle._heads`, and check each term gap where it is made,
+cross-multiplied into a comparison of integers. With q = (1+step)/2 and
 c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
-the gap before it plus c, and the next gap at most q times that plus c. So
-each gap is at most q^2 times the previous one plus (q+1)*c and stays below
+the gap before it plus c, and the next gap at most q times that plus c. So each
+gap is at most q^2 times the previous one plus (q+1)*c and stays below
 (3/2)*step/(1-step)*(1 - q^(2k-1)); these two follow and are not checked.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +34,7 @@ from .errors import (
     RangeOverflow,
 )
 from .exact import rat_str, to_decimal
-from .fixpoint import FixFormat, FixNum
+from .fixpoint import FixNum
 from .oracle import _heads, cos_unbounded, sin_unbounded
 
 ORACLE_SLACK_DIVISOR = 1000  # reference values are computed at eps/1000
@@ -58,20 +60,13 @@ class FixAlgoResult:
 
 
 @dataclass(frozen=True)
-class HalfStep:
-    """Mid-iteration values after dividing by the odd factor only."""
-
-    tc_half: Fraction
-    tcfp_half: Fraction
-    delta_half: Fraction
-
-
-@dataclass(frozen=True)
 class TraceRecord:
     """Synchronized snapshot of both loops just before guard check k.
 
     `delta` is the fix-point term minus the exact (signed) term;
     `delta_bound` is the cumulative propagation cap for this iteration.
+    `tc_half`, `tcfp_half` and `delta_half` are the exact term, the fix-point
+    term and their gap in the next step, after its first factor x/(2k+s+1) only.
     """
 
     k: int
@@ -83,7 +78,9 @@ class TraceRecord:
     delta_bound: Fraction
     ep_exact: Fraction
     epfp: Fraction
-    half: HalfStep
+    tc_half: Fraction
+    tcfp_half: Fraction
+    delta_half: Fraction
 
     def as_dict(self) -> dict:
         return {
@@ -97,9 +94,9 @@ class TraceRecord:
             "ep": rat_str(self.ep_exact),
             "epfp": rat_str(self.epfp),
             "half": {
-                "tc_half": rat_str(self.half.tc_half),
-                "tcfp_half": rat_str(self.half.tcfp_half),
-                "delta_half": rat_str(self.half.delta_half),
+                "tc_half": rat_str(self.tc_half),
+                "tcfp_half": rat_str(self.tcfp_half),
+                "delta_half": rat_str(self.delta_half),
             },
         }
 
@@ -184,6 +181,31 @@ def _past_cap(gap: Fraction, prev: Fraction | int, k: int) -> bool:
         2 * (k + 1) * abs(prev.numerator) + 3 * prev.denominator) * gap.denominator
 
 
+def _fix_heads(x: FixNum, eps: FixNum, odd: bool) -> Iterator[tuple]:
+    """Heads (k, epfp, tcfp, accfp, tcfp_half) of the fix-point cos (odd=False) or sin
+    loop, endless; tcfp_half is the last step's term after its first rounding (None at
+    head 1). A RangeOverflow is tagged with the head being reached."""
+    fmt = x.fmt
+    shift = 1 if odd else 0
+    k, tcfp_half = 1, None
+    try:
+        xx = x * x
+        accfp = x if odd else fmt.from_int(1)
+        tcfp = -((xx * x) / fmt.from_int(6) if odd else xx / fmt.from_int(2))
+        epfp = fmt.from_int(6 if odd else 2) * eps
+        while True:
+            yield k, epfp, tcfp, accfp, tcfp_half
+            accfp = accfp + tcfp
+            k += 1
+            fac = 2 * k + shift  # 2k for cosine, 2k+1 for sine; the step's factors are fac-1, fac
+            tcfp_half = tcfp * (x / fmt.from_int(fac - 1))
+            tcfp = (-tcfp_half) * (x / fmt.from_int(fac))
+            epfp = fmt.from_int(fac) * (fmt.from_int(fac - 1) * epfp)
+    except RangeOverflow as exc:
+        exc.iteration = k
+        raise
+
+
 def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     if not isinstance(x, FixNum) or not isinstance(eps, FixNum):
         raise TypeError("x and eps must be FixNum values")
@@ -223,57 +245,40 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
 
     records: list[TraceRecord] = []
-    k = 1
-    try:
-        xx = x * x
-        accfp = x if odd else one
-        tcfp = -((xx * x) / fmt.from_int(6) if odd else xx / fmt.from_int(2))
-        epfp = fmt.from_int(6 if odd else 2) * eps
-        while True:
-            fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
-            _invariant(epfp.m == fact_eps_m, name,
-                       "counter stays an exact factorial multiple of eps")
-            # no exact-counter check: the twin's counter is fact_eps_m itself, not a copy
-            guard = epfp < one
-            _invariant(guard == (fact_eps_m < fmt.k), name, "loop guards agree (lockstep)")
-            if not guard:
-                break
-            if with_trace:
-                _, sign, term, acc_e, _ = next(heads)
-                tc_e = term if sign > 0 else -term
-                tcfp_r = tcfp.to_rat()
-                gap = tcfp_r - tc_e
-                if k == 1 and _past_cap(gap, 0, fmt.k):
-                    raise BoundViolation("first-gap", k=1, detail=f"{gap}")
-                if k > 1 and _past_cap(gap, half_gap, fmt.k):
-                    raise BoundViolation("half-gap-step", k=k)
-                head = (k, tc_e, acc_e, tcfp_r, accfp.to_rat(), gap,
-                        gap_cap * (1 - q ** (2 * k - 1)),
-                        Fraction(sign * fact_eps_m, fmt.k), epfp.to_rat())
-            accfp = accfp + tcfp
-            k += 1
-            fac1 = 2 * k + shift - 1   # 2k-1 for cosine, 2k for sine
-            fac2 = 2 * k + shift       # 2k for cosine, 2k+1 for sine
-            tcfp_half = tcfp * (x / fmt.from_int(fac1))
-            tcfp = (-tcfp_half) * (x / fmt.from_int(fac2))
-            epfp = fmt.from_int(fac2) * (fmt.from_int(fac1) * epfp)
-            if with_trace:
-                tc_half = tc_e * x_r / fac1
-                tcfp_half_r = tcfp_half.to_rat()
-                half_gap = tcfp_half_r - tc_half
-                if _past_cap(half_gap, gap, fmt.k):
-                    raise BoundViolation("half-gap", k=k - 1)
-                records.append(TraceRecord(*head, HalfStep(tc_half, tcfp_half_r, half_gap)))
-    except RangeOverflow as exc:
-        exc.iteration = k
-        raise
+    for k, epfp, tcfp, accfp, tcfp_half in _fix_heads(x, eps, odd):
+        if with_trace and k > 1:
+            tc_half = tc_e * x_r / (2 * k + shift - 1)
+            tcfp_half_r = tcfp_half.to_rat()
+            half_gap = tcfp_half_r - tc_half
+            if _past_cap(half_gap, gap, fmt.k):
+                raise BoundViolation("half-gap", k=k - 1)
+            records.append(TraceRecord(*head, tc_half, tcfp_half_r, half_gap))
+        fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
+        _invariant(epfp.m == fact_eps_m, name,
+                   "counter stays an exact factorial multiple of eps")
+        # no exact-counter check: the twin's counter is fact_eps_m itself, not a copy
+        guard = epfp < one
+        _invariant(guard == (fact_eps_m < fmt.k), name, "loop guards agree (lockstep)")
+        if not guard:
+            break
+        if with_trace:
+            _, sign, term, acc_e, _ = next(heads)
+            tc_e = term if sign > 0 else -term
+            tcfp_r = tcfp.to_rat()
+            gap = tcfp_r - tc_e
+            if k == 1 and _past_cap(gap, 0, fmt.k):
+                raise BoundViolation("first-gap", k=1, detail=f"{gap}")
+            if k > 1 and _past_cap(gap, half_gap, fmt.k):
+                raise BoundViolation("half-gap-step", k=k)
+            head = (k, tc_e, acc_e, tcfp_r, accfp.to_rat(), gap,
+                    gap_cap * (1 - q ** (2 * k - 1)),
+                    Fraction(sign * fact_eps_m, fmt.k), epfp.to_rat())
 
     n = k
     _invariant(n == n_goal, name, "final n equals the minimal stop count")
     bound = error_bound(n, fmt.step, eps_r)
     slack = eps_r / ORACLE_SLACK_DIVISOR
-    reference_fn = sin_unbounded if odd else cos_unbounded
-    reference = reference_fn(x_r, slack)
+    reference = (sin_unbounded if odd else cos_unbounded)(x_r, slack)
     observed = abs(accfp.to_rat() - reference)
     if observed > bound + slack:
         raise BoundViolation("headline", detail=(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -141,14 +140,6 @@ def test_div_by_zero():
 def test_mul_overflow_on_exact_result():
     with pytest.raises(RangeOverflow):
         K256.from_int(32) * K256.from_int(32)
-
-
-def test_floor_ceil_examples():
-    seven_eighths = K256.exact(Fraction(7, 8))
-    assert math.floor(seven_eighths) == 0
-    assert math.ceil(seven_eighths) == 1
-    assert math.floor(K256.exact(Fraction(-1, 8))) == -1
-    assert math.ceil(K256.exact(Fraction(-1, 8))) == 0
 
 
 def test_to_rat_examples():

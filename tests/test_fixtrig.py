@@ -157,6 +157,15 @@ def test_range_overflow_carries_iteration():
     assert info.value.iteration == 1
 
 
+@pytest.mark.parametrize("run", [cos_fixpoint, paired_trace_cos])
+def test_range_overflow_past_head_1_carries_its_iteration(run):
+    # x / 3, 30 * 65536 steps high, makes the half step of iteration 1 leave the range
+    x = _shifted_half_step(K65536.exact(Fraction(3, 4)), 3, 30 * 65536)
+    with pytest.raises(RangeOverflow, match=r"^exact product -1089/128 leaves range$") as info:
+        run(x, K65536.exact(Fraction(1, 4096)))
+    assert info.value.iteration == 2
+
+
 def test_paired_trace_hand_example():
     trace = paired_trace_cos(K256.exact(Fraction(1, 2)), K256.exact(Fraction(1, 4)))
     assert len(trace.records) == 1
@@ -199,7 +208,7 @@ def test_paired_trace_step_inequalities_on_longer_run():
     first, second = trace.records
     assert abs(first.delta) <= Fraction(3, 4) * delta
     assert abs(second.delta) <= q * q * abs(first.delta) + (q + 1) * Fraction(3, 4) * delta
-    assert first.half is not None and second.half is not None
+    assert first.delta_half is not None and second.delta_half is not None
 
 
 def test_trace_serialization_round_trip():
@@ -387,7 +396,7 @@ def test_gap_caps_are_strict_at_exact_ties(run):
     records = run(x, eps).records
     assert len(records) >= 2
     for i, rec in enumerate(records, 1):
-        cap = c if i == 1 else q * abs(records[i - 2].half.delta_half) + c
+        cap = c if i == 1 else q * abs(records[i - 2].delta_half) + c
         sign = 1 if rec.delta >= 0 else -1
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(fixtrig, "_heads", _gap_on(i, rec.delta, sign * cap))
@@ -437,7 +446,7 @@ def test_half_gap_is_strict_at_an_exact_tie():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fixtrig, "_heads", _gap_on(1, rec.delta, gap))
         tied = paired_trace_cos(shifted, eps).records[0]
-        assert (tied.delta, tied.half.delta_half) == (gap, -cap)
+        assert (tied.delta, tied.delta_half) == (gap, -cap)
         mp.setattr(fixtrig, "_heads", _gap_on(1, rec.delta, gap_for(Fraction(1, cap.denominator))))
         with pytest.raises(BoundViolation) as info:
             paired_trace_cos(shifted, eps)

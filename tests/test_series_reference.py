@@ -8,7 +8,10 @@ and eps ending the loop near head 64. The integer recurrence under the
 unbounded generators and the `_heads` view is also drawn at the benchmark's
 ranges, |x| <= 50 over denominators up to 2^40, where its unreduced
 numerators grow largest, and the checked loops at the benchmark's depth,
-eps down to 1e-300 at 1/2 <= |x| <= 1.
+eps down to 1e-300 at 1/2 <= |x| <= 1. The fix-point loop, whose recurrence
+is now a generator of heads, is held to its interleaved copy in
+`reference_fixtrig`: records, results, exceptions and overflow iterations,
+traced and untraced, on clean runs and under faults that fire its checks.
 """
 
 from __future__ import annotations
@@ -21,8 +24,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_fixtrig as ref_fix
 import reference_series as ref
 from trigcheck import FixFormat, FixNum, fixtrig, oracle
+from trigcheck.errors import VerificationFailure
+from trigcheck.fixtrig import FixAlgoResult
 
 
 def outcome(fn, *args):
@@ -141,7 +147,7 @@ def test_tracer_exact_twin(fmt, xm, em, odd):
     tracer = fixtrig.paired_trace_sin if odd else fixtrig.paired_trace_cos
     runner = fixtrig.sin_fixpoint if odd else fixtrig.cos_fixpoint
     trace = tracer(x, eps)
-    exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.half.tc_half)
+    exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.tc_half)
              for r in trace.records]
     assert exact == ref.exact_twin(x.to_rat(), eps.to_rat(), odd)
     assert runner(x, eps) == trace.result
@@ -155,7 +161,7 @@ def test_tracer_exact_twin_anchors(odd):
         for eps in (Fraction(1, 2), Fraction(1, 6), Fraction(1, 24), Fraction(1, 120),
                     Fraction(1, 40320)):
             trace = tracer(fmt.exact(x), fmt.exact(eps))
-            exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.half.tc_half)
+            exact = [(r.k, r.tc_exact, r.cs_exact, r.ep_exact, r.tc_half)
                      for r in trace.records]
             assert exact == ref.exact_twin(x, eps, odd)
 
@@ -193,3 +199,105 @@ def test_heads_view_at_the_workload_ranges(x, odd, n):
     view = [(k, sign * term, acc, sign * fact * eps)
             for k, sign, term, acc, fact in islice(oracle._heads(x, odd), n - 1)]
     assert view == [head[:4] for head in ref.exact_twin(x, eps, odd)]
+
+
+# the benchmark's fixpoint_sweep ladder, a grid holding every counter tie, and
+# an inf just below 0, where the first term -x^2/2 leaves the range
+FIX_FORMATS = [FixFormat.parse(text) for text in (
+    "1/256:[-8,64]", "1/65536:[-8,64]", "1/1000000:[-8,64]", "1/65536:[-8,1024]",
+    "1/1099511627776:[-8,1024]", "1/40320:[-8,1024]", "1/256:[-1/256,64]")]
+FIX_RUNS = {(False, False): fixtrig.cos_fixpoint, (True, False): fixtrig.sin_fixpoint,
+            (False, True): fixtrig.paired_trace_cos, (True, True): fixtrig.paired_trace_sin}
+
+
+def fix_outcome(run, *args):
+    """(records by as_dict(), result), or the exception's type, message and iteration."""
+    try:
+        out = run(*args)
+    except (ArithmeticError, ValueError, VerificationFailure) as exc:
+        return type(exc), str(exc), getattr(exc, "iteration", None)
+    if isinstance(out, FixAlgoResult):
+        return [], out
+    return [rec.as_dict() for rec in out.records], out.result
+
+
+def assert_same_fix_run(x, eps, odd):
+    for traced in (False, True):
+        assert fix_outcome(FIX_RUNS[odd, traced], x, eps) == fix_outcome(
+            ref_fix.run, x, eps, odd, traced), (x, eps, odd, traced)
+
+
+def shifted_division(x: FixNum, fac: int, units: int) -> FixNum:
+    """x, whose quotient x / fac comes out `units` steps high."""
+    class Shifted(FixNum):
+        __slots__ = ()
+
+        def __truediv__(self, other: FixNum) -> FixNum:
+            quotient = FixNum.__truediv__(self, other)
+            if other.m != fac * other.fmt.k:
+                return quotient
+            return FixNum(quotient.m + units, quotient.fmt)
+    return Shifted(x.m, x.fmt)
+
+
+def perturbed_heads(at: int, by: Fraction):
+    """`oracle._heads` with the exact term at head `at` moved by `by`."""
+    def heads(x, odd):
+        for head in oracle._heads(x, odd):
+            n, sign, term, acc, fact = head
+            yield (n, sign, term + by, acc, fact) if n == at else head
+    return heads
+
+
+def shifted_reference(by: Fraction):
+    """The two unbounded references, each moved by `by`."""
+    return {name: (lambda fn: lambda x, eps: fn(x, eps) + by)(getattr(oracle, name))
+            for name in ("cos_unbounded", "sin_unbounded")}
+
+
+@pytest.mark.parametrize("odd", [False, True])
+def test_fix_loop_anchors(odd):
+    fmt = FIX_FORMATS[3]
+    x, eps = fmt.exact(Fraction(3, 4)), fmt.exact(Fraction(1, 4096))
+    tight = FIX_FORMATS[-1]
+    assert_same_fix_run(tight.exact(Fraction(1, 2)), tight.exact(Fraction(1, 4)), odd)
+    fac = 4 if odd else 3  # the first factor of iteration 1's half step
+    assert_same_fix_run(shifted_division(x, fac, 30 * 65536), eps, odd)  # overflows past head 1
+    assert_same_fix_run(shifted_division(x, fac, 4), eps, odd)
+    for at in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (fixtrig, ref_fix):
+                mp.setattr(module, "_heads", perturbed_heads(at, fmt.step))
+            assert_same_fix_run(x, eps, odd)
+    for units in range(-12, 13):  # eps/8 steps: headline, then closing-chain only, then none
+        with pytest.MonkeyPatch.context() as mp:
+            for module in (fixtrig, ref_fix):
+                for name, fn in shifted_reference(units * eps.to_rat() / 8).items():
+                    mp.setattr(module, name, fn)
+            assert_same_fix_run(x, eps, odd)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(FIX_FORMATS), odd=st.booleans(),
+       fault=st.sampled_from([None, "heads", "reference", "division"]), data=st.data())
+def test_fix_loop_matches_the_interleaved_copy(fmt, odd, fault, data):
+    # x mostly in [-1, 1], at times anywhere in range; eps in (0, 1), often fine
+    # to 2^-30, at times 0 or 1
+    x = FixNum(data.draw(st.integers(max(-fmt.k, fmt.m_inf), fmt.k)
+                         | st.integers(fmt.m_inf, fmt.m_sup)), fmt)
+    eps = FixNum(data.draw(st.integers(1, fmt.k - 1) | st.sampled_from([0, fmt.k])
+                           | st.integers(1, 30).map(lambda s: max(1, fmt.k >> s))), fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        if fault == "heads":  # an exact term off by a multiple of half a step
+            at, by = data.draw(st.integers(1, 5)), data.draw(st.integers(-4, 4)) * fmt.step / 2
+            for module in (fixtrig, ref_fix):
+                mp.setattr(module, "_heads", perturbed_heads(at, by))
+        if fault == "reference":  # a reference off by a multiple of eps/4
+            by = data.draw(st.integers(-8, 8)) * eps.to_rat() / 4
+            for module in (fixtrig, ref_fix):
+                for name, fn in shifted_reference(by).items():
+                    mp.setattr(module, name, fn)
+        if fault == "division":  # one factor x/fac off by a few steps, or by up to 40
+            units = data.draw(st.integers(-6, 6) | st.integers(-40, 40).map(lambda u: u * fmt.k))
+            x = shifted_division(x, data.draw(st.integers(2, 9)), units)
+        assert_same_fix_run(x, eps, odd)
