@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 import reference_fixtrig as ref_fix
 import reference_series as ref
+from test_fixtrig import _perturbed_heads, _shifted_half_step
 from trigcheck import FixFormat, FixNum, fixtrig, oracle
 from trigcheck.errors import VerificationFailure
 from trigcheck.fixtrig import FixAlgoResult
@@ -227,28 +228,6 @@ def assert_same_fix_run(x, eps, odd):
             ref_fix.run, x, eps, odd, traced), (x, eps, odd, traced)
 
 
-def shifted_division(x: FixNum, fac: int, units: int) -> FixNum:
-    """x, whose quotient x / fac comes out `units` steps high."""
-    class Shifted(FixNum):
-        __slots__ = ()
-
-        def __truediv__(self, other: FixNum) -> FixNum:
-            quotient = FixNum.__truediv__(self, other)
-            if other.m != fac * other.fmt.k:
-                return quotient
-            return FixNum(quotient.m + units, quotient.fmt)
-    return Shifted(x.m, x.fmt)
-
-
-def perturbed_heads(at: int, by: Fraction):
-    """`oracle._heads` with the exact term at head `at` moved by `by`."""
-    def heads(x, odd):
-        for head in oracle._heads(x, odd):
-            n, sign, term, acc, fact = head
-            yield (n, sign, term + by, acc, fact) if n == at else head
-    return heads
-
-
 def shifted_reference(by: Fraction):
     """The two unbounded references, each moved by `by`."""
     return {name: (lambda fn: lambda x, eps: fn(x, eps) + by)(getattr(oracle, name))
@@ -262,12 +241,12 @@ def test_fix_loop_anchors(odd):
     tight = FIX_FORMATS[-1]
     assert_same_fix_run(tight.exact(Fraction(1, 2)), tight.exact(Fraction(1, 4)), odd)
     fac = 4 if odd else 3  # the first factor of iteration 1's half step
-    assert_same_fix_run(shifted_division(x, fac, 30 * 65536), eps, odd)  # overflows past head 1
-    assert_same_fix_run(shifted_division(x, fac, 4), eps, odd)
+    assert_same_fix_run(_shifted_half_step(x, fac, 30 * 65536), eps, odd)  # overflows past head 1
+    assert_same_fix_run(_shifted_half_step(x, fac, 4), eps, odd)
     for at in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             for module in (fixtrig, ref_fix):
-                mp.setattr(module, "_heads", perturbed_heads(at, fmt.step))
+                mp.setattr(module, "_heads", _perturbed_heads(at, fmt.step))
             assert_same_fix_run(x, eps, odd)
     for units in range(-12, 13):  # eps/8 steps: headline, then closing-chain only, then none
         with pytest.MonkeyPatch.context() as mp:
@@ -291,7 +270,7 @@ def test_fix_loop_matches_the_interleaved_copy(fmt, odd, fault, data):
         if fault == "heads":  # an exact term off by a multiple of half a step
             at, by = data.draw(st.integers(1, 5)), data.draw(st.integers(-4, 4)) * fmt.step / 2
             for module in (fixtrig, ref_fix):
-                mp.setattr(module, "_heads", perturbed_heads(at, by))
+                mp.setattr(module, "_heads", _perturbed_heads(at, by))
         if fault == "reference":  # a reference off by a multiple of eps/4
             by = data.draw(st.integers(-8, 8)) * eps.to_rat() / 4
             for module in (fixtrig, ref_fix):
@@ -299,5 +278,5 @@ def test_fix_loop_matches_the_interleaved_copy(fmt, odd, fault, data):
                     mp.setattr(module, name, fn)
         if fault == "division":  # one factor x/fac off by a few steps, or by up to 40
             units = data.draw(st.integers(-6, 6) | st.integers(-40, 40).map(lambda u: u * fmt.k))
-            x = shifted_division(x, data.draw(st.integers(2, 9)), units)
+            x = _shifted_half_step(x, data.draw(st.integers(2, 9)), units)
         assert_same_fix_run(x, eps, odd)
