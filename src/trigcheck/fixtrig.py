@@ -9,7 +9,7 @@ values only, which the datatype keeps exact, so at every head it equals
 loops stop at the same count. Both counter clauses compare integer numerators
 over the grid's denominator fmt.k. `paired_trace_cos`/`paired_trace_sin` run
 the fix-point loop in lockstep with the exact one, whose terms and sums come
-from `oracle._heads`, and check each term gap where it is made,
+from `oracle._scaled_heads`, and check each term gap where it is made,
 cross-multiplied into a comparison of integers. With q = (1+step)/2 and
 c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
 the gap before it plus c, and the next gap at most q times that plus c. So each
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .exact import rat_str, to_decimal
 from .fixpoint import FixNum
-from .oracle import _heads, cos_unbounded, sin_unbounded
+from .oracle import _scaled_heads, cos_unbounded, sin_unbounded
 
 ORACLE_SLACK_DIVISOR = 1000  # reference values are computed at eps/1000
 
@@ -236,7 +236,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     # term (from the oracle's loop heads, carried signed so the gap is a plain
     # difference) and sum only feed the trace, whose gaps are checked where made
     if with_trace:
-        heads = _heads(x_r, odd)
+        heads = _scaled_heads(x_r, odd)
         # q = (1+step)/2, c = (3/4)*step and (3/2)*step/(1-step), for step = 1/fmt.k
         q = Fraction(fmt.k + 1, 2 * fmt.k)
         gap_cap = Fraction(3, 2 * (fmt.k - 1))
@@ -262,8 +262,8 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         if not guard:
             break
         if with_trace:
-            _, sign, term, acc_e, _ = next(heads)
-            tc_e = term if sign > 0 else -term
+            _, sign, t, a, d, _ = next(heads)
+            tc_e, acc_e = Fraction(t if sign > 0 else -t, d), Fraction(a, d)
             tcfp_r = tcfp.to_rat()
             gap = tcfp_r - tc_e
             if k == 1 and _past_cap(gap, 0, fmt.k):

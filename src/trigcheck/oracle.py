@@ -9,8 +9,7 @@ only in its stop rule. `_checked_series` (the Taylor and range-restricted
 zerone variants) checks each head by integer cross-multiplication against
 powers, factorials and a partial sum of the definitional terms carried from
 head to head; `pi_leibniz` sums over an integer lcm. Each builds one Fraction,
-its result. `_heads`, the Fraction view, serves the fix-point tracer's exact
-twin. The `*_unbounded` functions are the golden-data generators: plain
+its result. The `*_unbounded` functions are the golden-data generators: plain
 truncated Taylor sums, valid for any rational argument, used as ground truth
 everywhere else; they read the integers and check nothing.
 """
@@ -115,12 +114,6 @@ def _scaled_heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, int, int, 
         d *= q * q * step
         fact *= step
         yield n, sign, t, a, d, fact
-
-
-def _heads(x: Fraction, odd: bool) -> Iterator[tuple[int, int, Fraction, Fraction, int]]:
-    """The Fraction view (n, sign, term, acc, fact) of `_scaled_heads`."""
-    for n, sign, t, a, d, fact in _scaled_heads(x, odd):
-        yield n, sign, Fraction(t, d), Fraction(a, d), fact
 
 
 def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> AlgoResult:

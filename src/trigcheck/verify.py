@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import fixtrig, oracle
@@ -20,13 +19,11 @@ from .fixpoint import FixFormat, FixNum
 GRID_FORMATS = ("1/256:[-8,64]", "1/65536:[-8,64]", "1/1000000:[-8,64]")
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    seed: int
-    samples: int
-    checks: int = 0
-    failures: list[str] = field(default_factory=list)
+    def __init__(self, suite: str, seed: int, samples: int) -> None:
+        self.suite, self.seed, self.samples = suite, seed, samples
+        self.checks = 0
+        self.failures: list[str] = []
 
     def ok(self) -> bool:
         return not self.failures

@@ -1,13 +1,14 @@
 """Reference copy of the fix-point loop as it stood before the recurrence was
 drawn out into a generator of loop heads (`fixtrig._fix_heads`).
 
-`run` is that loop: the FixNum recurrence, its exact twin read from
-`oracle._heads`, and every check, interleaved in one body. Its records keep
-the half-step values in a nested `HalfStep`, as they were then stored. It is
-kept verbatim, apart from names, as an oracle for
-`tests/test_series_reference.py`: the library must give the same records
-(by `as_dict()`), the same result, and the same exceptions with the same
-messages and overflow iterations.
+`run` is that loop: the FixNum recurrence, its exact twin read from the
+Fraction view `_heads` of `oracle._scaled_heads`, and every check, interleaved
+in one body. The library's twin now reads the integers themselves, so that
+view lives on here only. Its records keep the half-step values in a nested
+`HalfStep`, as they were then stored. It is kept verbatim, apart from names,
+as an oracle for `tests/test_series_reference.py`: the library must give the
+same records (by `as_dict()`), the same result, and the same exceptions with
+the same messages and overflow iterations.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from trigcheck.fixtrig import (
     error_bound,
     sin_term_count,
 )
-from trigcheck.oracle import _heads, cos_unbounded, sin_unbounded
+from trigcheck.oracle import _scaled_heads, cos_unbounded, sin_unbounded
 
 
 @dataclass(frozen=True)
@@ -79,6 +80,12 @@ class TraceRecord:
                 "delta_half": rat_str(self.half.delta_half),
             },
         }
+
+
+def _heads(x: Fraction, odd: bool):
+    """The Fraction view (n, sign, term, acc, fact) of `_scaled_heads`."""
+    for n, sign, t, a, d, fact in _scaled_heads(x, odd):
+        yield n, sign, Fraction(t, d), Fraction(a, d), fact
 
 
 def _invariant(condition: bool, where: str, clause: str) -> None:

@@ -1,7 +1,7 @@
 """Reference copies of the series loops the library once wrote out one by one.
 
 Each function below is the loop as it stood before the library drew every
-cos/sin Taylor loop from one generator of loop heads (`oracle._heads`):
+cos/sin Taylor loop from one generator of loop heads (`oracle._scaled_heads`):
 the checked Taylor and range-restricted (zerone) cores with their head
 checks, the two unbounded golden-data generators, the exact twin that the
 fix-point tracer ran beside its fix-point loop, and the two term counters.

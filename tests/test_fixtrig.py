@@ -279,11 +279,17 @@ def test_bound_grows_as_grid_coarsens():
 
 
 def _perturbed_heads(at: int, by: Fraction):
-    """`oracle._heads` with the exact term at head `at` moved by `by`."""
+    """`oracle._scaled_heads` with the exact term t/d at head `at` moved by `by`.
+
+    For by = A/B the head becomes (t*B + A*d)/(d*B), and its sum a/d becomes
+    (a*B)/(d*B), the same value."""
     def heads(x, odd):
-        for head in oracle._heads(x, odd):
-            n, sign, term, acc, fact = head
-            yield (n, sign, term + by, acc, fact) if n == at else head
+        for head in oracle._scaled_heads(x, odd):
+            n, sign, t, a, d, fact = head
+            if n == at:
+                head = (n, sign, t * by.denominator + by.numerator * d,
+                        a * by.denominator, d * by.denominator, fact)
+            yield head
     return heads
 
 
@@ -297,7 +303,7 @@ def test_gap_checker_detects_violations(monkeypatch):
     # a gap fault raises as the gap is made, so before a wrong reference reaches headline
     _, _, gap_cap = _gap_caps(K65536)
     x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
-    monkeypatch.setattr(fixtrig, "_heads", _perturbed_heads(1, gap_cap + K65536.step))
+    monkeypatch.setattr(fixtrig, "_scaled_heads", _perturbed_heads(1, gap_cap + K65536.step))
     monkeypatch.setattr(fixtrig, "cos_unbounded", lambda x, eps: oracle.cos_unbounded(x, eps) + 1)
     monkeypatch.setattr(fixtrig, "sin_unbounded", lambda x, eps: oracle.sin_unbounded(x, eps) + 1)
     for traced, untraced in ((paired_trace_cos, cos_fixpoint),
@@ -321,7 +327,7 @@ def test_gap_past_the_cap_is_caught_by_the_chain_check():
         for i in range(1, n):
             for sign in (1, -1):
                 with pytest.MonkeyPatch.context() as mp:
-                    mp.setattr(fixtrig, "_heads",
+                    mp.setattr(fixtrig, "_scaled_heads",
                                _perturbed_heads(i, sign * (gap_cap + K65536.step)))
                     with pytest.raises(BoundViolation) as info:
                         run(x, eps)
@@ -399,10 +405,10 @@ def test_gap_caps_are_strict_at_exact_ties(run):
         cap = c if i == 1 else q * abs(records[i - 2].delta_half) + c
         sign = 1 if rec.delta >= 0 else -1
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fixtrig, "_heads", _gap_on(i, rec.delta, sign * cap))
+            mp.setattr(fixtrig, "_scaled_heads", _gap_on(i, rec.delta, sign * cap))
             assert abs(run(x, eps).records[i - 1].delta) == cap
             past = sign * (cap + Fraction(1, cap.denominator))
-            mp.setattr(fixtrig, "_heads", _gap_on(i, rec.delta, past))
+            mp.setattr(fixtrig, "_scaled_heads", _gap_on(i, rec.delta, past))
             with pytest.raises(BoundViolation) as info:
                 run(x, eps)
         expected = "first-gap" if i == 1 else "half-gap-step"
@@ -444,10 +450,10 @@ def test_half_gap_is_strict_at_an_exact_tie():
     gap = gap_for(Fraction(0))
     cap = q * gap + c
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fixtrig, "_heads", _gap_on(1, rec.delta, gap))
+        mp.setattr(fixtrig, "_scaled_heads", _gap_on(1, rec.delta, gap))
         tied = paired_trace_cos(shifted, eps).records[0]
         assert (tied.delta, tied.delta_half) == (gap, -cap)
-        mp.setattr(fixtrig, "_heads", _gap_on(1, rec.delta, gap_for(Fraction(1, cap.denominator))))
+        mp.setattr(fixtrig, "_scaled_heads", _gap_on(1, rec.delta, gap_for(Fraction(1, cap.denominator))))
         with pytest.raises(BoundViolation) as info:
             paired_trace_cos(shifted, eps)
     assert (info.value.bound, info.value.k) == ("half-gap", 1)
@@ -482,3 +488,22 @@ def test_final_count_clause_is_live(run, monkeypatch):
     monkeypatch.setattr(fixtrig, "cos_term_count", lambda eps: count(eps) + 1)
     assert _first_invariant(run, K65536, Fraction(3, 4), Fraction(1, 4096)) == (
         "cos_fixpoint: final n equals the minimal stop count")
+
+
+def test_trace_count_check_is_live(monkeypatch):
+    # head 2 comes twice, so one body run adds a second record; at x = 0 every
+    # term and gap is 0 and the repeated head's counter is right, so only the
+    # trace count can see it
+    fix_heads = fixtrig._fix_heads
+
+    def head_2_twice(x, eps, odd):
+        for head in fix_heads(x, eps, odd):
+            yield head
+            if head[0] == 2:
+                yield head
+    monkeypatch.setattr(fixtrig, "_fix_heads", head_2_twice)
+    fmt = FixFormat.parse("1/65536:[-8,64]")
+    assert cos_fixpoint(fmt.exact(Fraction(0)), fmt.exact(Fraction(1, 4096))).n == 4
+    for run, n in ((paired_trace_cos, 4), (paired_trace_sin, 3)):
+        assert _first_invariant(run, fmt, Fraction(0), Fraction(1, 4096)) == (
+            f"trace holds {n} records, expected n-1 = {n - 1}")

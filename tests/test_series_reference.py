@@ -5,13 +5,14 @@ match, on hypothesis draws and on anchor inputs: x = 0, +-1, +-3, eps equal
 to a term or to a stop-counter threshold (the `<` against `<=` ties), and
 eps >= 1 for the unbounded generators; for `pi_leibniz`, eps >= 4, eps <= 0
 and eps ending the loop near head 64. The integer recurrence under the
-unbounded generators and the `_heads` view is also drawn at the benchmark's
-ranges, |x| <= 50 over denominators up to 2^40, where its unreduced
-numerators grow largest, and the checked loops at the benchmark's depth,
-eps down to 1e-300 at 1/2 <= |x| <= 1. The fix-point loop, whose recurrence
-is now a generator of heads, is held to its interleaved copy in
-`reference_fixtrig`: records, results, exceptions and overflow iterations,
-traced and untraced, on clean runs and under faults that fire its checks.
+unbounded generators and the tracer's exact twin is also drawn at the
+benchmark's ranges, |x| <= 50 over denominators up to 2^40, where its
+unreduced numerators grow largest, and the checked loops at the
+benchmark's depth, eps down to 1e-300 at 1/2 <= |x| <= 1. The fix-point
+loop, whose recurrence is now a generator of heads, is held to its
+interleaved copy in `reference_fixtrig`: records, results, exceptions and
+overflow iterations, traced and untraced, on clean runs and under faults
+that fire its checks.
 """
 
 from __future__ import annotations
@@ -197,8 +198,8 @@ def test_unbounded_at_the_workload_ranges(x, eps, name):
 def test_heads_view_at_the_workload_ranges(x, odd, n):
     # the reference twin runs while (2k+s)! * eps < 1, so this eps gives it heads 1 .. n-1
     eps = Fraction(1, math.factorial(2 * n + (1 if odd else 0)))
-    view = [(k, sign * term, acc, sign * fact * eps)
-            for k, sign, term, acc, fact in islice(oracle._heads(x, odd), n - 1)]
+    view = [(k, sign * Fraction(t, d), Fraction(a, d), sign * fact * eps)
+            for k, sign, t, a, d, fact in islice(oracle._scaled_heads(x, odd), n - 1)]
     assert view == [head[:4] for head in ref.exact_twin(x, eps, odd)]
 
 
@@ -246,7 +247,7 @@ def test_fix_loop_anchors(odd):
     for at in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
             for module in (fixtrig, ref_fix):
-                mp.setattr(module, "_heads", _perturbed_heads(at, fmt.step))
+                mp.setattr(module, "_scaled_heads", _perturbed_heads(at, fmt.step))
             assert_same_fix_run(x, eps, odd)
     for units in range(-12, 13):  # eps/8 steps: headline, then closing-chain only, then none
         with pytest.MonkeyPatch.context() as mp:
@@ -270,7 +271,7 @@ def test_fix_loop_matches_the_interleaved_copy(fmt, odd, fault, data):
         if fault == "heads":  # an exact term off by a multiple of half a step
             at, by = data.draw(st.integers(1, 5)), data.draw(st.integers(-4, 4)) * fmt.step / 2
             for module in (fixtrig, ref_fix):
-                mp.setattr(module, "_heads", _perturbed_heads(at, by))
+                mp.setattr(module, "_scaled_heads", _perturbed_heads(at, by))
         if fault == "reference":  # a reference off by a multiple of eps/4
             by = data.draw(st.integers(-8, 8)) * eps.to_rat() / 4
             for module in (fixtrig, ref_fix):
