@@ -12,41 +12,38 @@ exploit for exact counter scaling.
 A value is stored as its integer multiple m of the step, so `*` and `/` work
 on integers alone: the range check compares the exact result's numerator with
 the scaled integer bounds, and the rounding is one `divmod` with ties to even.
+
+Both classes are immutable `Value` records, compared by (k, inf, sup) and
+(m, fmt); FixNum, built by every operation, sets its slots' descriptors itself.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import FormatMismatch, RangeOverflow
 from .exact import parse_rational, rat_str, to_decimal
+from .value import Value
 
 _FORMAT_RE = re.compile(r"^1/(\d+):\[([^,\]]+),([^,\]]+)\]$")
 
 
-@dataclass(frozen=True)
-class FixFormat:
+class FixFormat(Value):
     """Grid parameters: step 1/k with k >= 2, bounds inf < 0 < sup on the grid."""
 
-    k: int
-    inf: Fraction
-    sup: Fraction
-    m_inf: int = field(init=False, compare=False, repr=False)
-    m_sup: int = field(init=False, compare=False, repr=False)
+    __slots__ = ("k", "inf", "sup", "m_inf", "m_sup")
+    _fields = ("k", "inf", "sup")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "inf", Fraction(self.inf))
-        object.__setattr__(self, "sup", Fraction(self.sup))
-        if self.k < 2:
+    def __init__(self, k: int, inf: Fraction, sup: Fraction) -> None:
+        inf, sup = Fraction(inf), Fraction(sup)
+        if k < 2:
             raise ValueError("k must be at least 2 so the step is below 1")
-        if not (self.inf < 0 < self.sup):
+        if not (inf < 0 < sup):
             raise ValueError("bounds must satisfy inf < 0 < sup")
-        if (self.inf * self.k).denominator != 1 or (self.sup * self.k).denominator != 1:
+        if (inf * k).denominator != 1 or (sup * k).denominator != 1:
             raise ValueError("inf and sup must be multiples of the step 1/k")
-        object.__setattr__(self, "m_inf", int(self.inf * self.k))
-        object.__setattr__(self, "m_sup", int(self.sup * self.k))
+        self._fill(k, inf, sup, int(inf * k), int(sup * k))
 
     @property
     def step(self) -> Fraction:
@@ -98,17 +95,16 @@ class FixFormat:
         return f"1/{self.k}:[{rat_str(self.inf)},{rat_str(self.sup)}]"
 
 
-@dataclass(frozen=True, slots=True)
-class FixNum:
+class FixNum(Value):
     """A grid value m * (1/k). Arithmetic follows the format's rounding rules."""
 
-    m: int
-    fmt: FixFormat
+    __slots__ = ("m", "fmt")
 
-    def __post_init__(self) -> None:
-        if not (self.fmt.m_inf <= self.m <= self.fmt.m_sup):
-            raise RangeOverflow(
-                f"{self.m}/{self.fmt.k} outside [{self.fmt.inf}, {self.fmt.sup}]")
+    def __init__(self, m: int, fmt: FixFormat) -> None:
+        if not (fmt.m_inf <= m <= fmt.m_sup):
+            raise RangeOverflow(f"{m}/{fmt.k} outside [{fmt.inf}, {fmt.sup}]")
+        _set_m(self, m)
+        _set_fmt(self, fmt)
 
     def to_rat(self) -> Fraction:
         return Fraction(self.m, self.fmt.k)
@@ -171,6 +167,9 @@ class FixNum:
         if digits is None:
             return f"{self.m}/{self.fmt.k}"
         return to_decimal(self.to_rat(), digits)
+
+
+_set_m, _set_fmt = FixNum._setters  # FixNum is built on every operation
 
 
 def _round_half_even(p: int, q: int) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -36,17 +35,18 @@ from .errors import (
 from .exact import rat_str, to_decimal
 from .fixpoint import FixNum
 from .oracle import _scaled_heads, cos_unbounded, sin_unbounded
+from .value import Value
 
 ORACLE_SLACK_DIVISOR = 1000  # reference values are computed at eps/1000
 
 
-@dataclass(frozen=True)
-class FixAlgoResult:
+class FixAlgoResult(Value):
     """Fix-point result, its term count n, and the a-priori error cap."""
 
-    value: FixNum
-    n: int
-    a_priori_bound: Fraction
+    __slots__ = ("value", "n", "a_priori_bound")
+
+    def __init__(self, value: FixNum, n: int, a_priori_bound: Fraction) -> None:
+        self._fill(value, n, a_priori_bound)
 
     def as_dict(self, digits: int = 12) -> dict:
         return {
@@ -59,8 +59,7 @@ class FixAlgoResult:
         }
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(Value):
     """Synchronized snapshot of both loops just before guard check k.
 
     `delta` is the fix-point term minus the exact (signed) term;
@@ -69,18 +68,13 @@ class TraceRecord:
     term and their gap in the next step, after its first factor x/(2k+s+1) only.
     """
 
-    k: int
-    tc_exact: Fraction
-    cs_exact: Fraction
-    tcfp: Fraction
-    csfp: Fraction
-    delta: Fraction
-    delta_bound: Fraction
-    ep_exact: Fraction
-    epfp: Fraction
-    tc_half: Fraction
-    tcfp_half: Fraction
-    delta_half: Fraction
+    __slots__ = ("k", "tc_exact", "cs_exact", "tcfp", "csfp", "delta", "delta_bound",
+                 "ep_exact", "epfp", "tc_half", "tcfp_half", "delta_half")
+
+    def __init__(self, k: int, tc_exact, cs_exact, tcfp, csfp, delta, delta_bound, ep_exact,
+                 epfp, tc_half, tcfp_half, delta_half) -> None:  # Fractions after k
+        self._fill(k, tc_exact, cs_exact, tcfp, csfp, delta, delta_bound, ep_exact, epfp,
+                   tc_half, tcfp_half, delta_half)
 
     def as_dict(self) -> dict:
         return {
@@ -101,10 +95,11 @@ class TraceRecord:
         }
 
 
-@dataclass(frozen=True)
-class PairedTrace:
-    records: list[TraceRecord]
-    result: FixAlgoResult
+class PairedTrace(Value):
+    __slots__ = ("records", "result")
+
+    def __init__(self, records: list[TraceRecord], result: FixAlgoResult) -> None:
+        self._fill(records, result)
 
 
 def error_bound(n: int, delta: Fraction, eps: Fraction) -> Fraction:

@@ -25,9 +25,12 @@ def iteration_cap() -> int:
     raw = os.environ.get(ITERATION_CAP_ENV)
     if raw is None:
         return DEFAULT_ITERATION_CAP
-    cap = int(raw)
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0  # not an integer: rejected below with the same message
     if cap <= 0:
-        raise ValueError(f"{ITERATION_CAP_ENV} must be positive, got {raw!r}")
+        raise ValueError(f"{ITERATION_CAP_ENV} must be a positive integer, got {raw!r}")
     return cap
 
 

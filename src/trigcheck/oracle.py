@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -28,14 +27,16 @@ from .errors import (
     NonPositiveEps,
 )
 from .exact import rat_str, to_decimal
+from .value import Value
 
-@dataclass(frozen=True)
-class AlgoResult:
+
+class AlgoResult(Value):
     """Result value plus the loop's iteration count and its a-priori error cap."""
 
-    value: Fraction
-    iterations: int
-    a_priori_bound: Fraction
+    __slots__ = ("value", "iterations", "a_priori_bound")
+
+    def __init__(self, value: Fraction, iterations: int, a_priori_bound: Fraction) -> None:
+        self._fill(value, iterations, a_priori_bound)
 
     def as_dict(self, digits: int = 12) -> dict:
         return {

@@ -95,6 +95,22 @@ def test_repro_table_cap_exit_code(capsys):
     assert err == "trigcheck: no convergence within 1000 iterations\n"
 
 
+@pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-3"])
+def test_bad_iteration_cap_env_names_the_variable(monkeypatch, capsys, raw):
+    monkeypatch.setenv("TRIGCHECK_ITER_CAP", raw)
+    code, out, err = run_cli(capsys, "repro-table1", "--max", "1")
+    assert (code, out) == (2, "")
+    assert err == f"trigcheck: TRIGCHECK_ITER_CAP must be a positive integer, got {raw!r}\n"
+
+
+def test_iteration_cap_env_takes_int_syntax(monkeypatch, capsys):
+    # int() strips surrounding whitespace, so " 5" is a cap of 5
+    monkeypatch.setenv("TRIGCHECK_ITER_CAP", " 5")
+    code, out, err = run_cli(capsys, "repro-table1", "--min", "100", "--max", "100")
+    assert (code, out) == (2, "")
+    assert err == "trigcheck: no convergence within 5 iterations\n"
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities",
                            "--samples", "5", "--seed", "7")

@@ -95,3 +95,15 @@ def test_repro_table_defaults_are_binary32_bit_for_bit():
         parsed = getattr(args, name)
         assert type(parsed) is float
         assert parsed.hex() == float(np.float32(text)).hex()
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # diffed against the modules loaded before the import, as site loads its own first
+    script = ("import sys\nbefore = set(sys.modules)\nimport trigcheck, trigcheck.cli\n"
+              "print(' '.join(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "trigcheck.cli" in added
+    assert not {"dataclasses", "inspect"} & added
