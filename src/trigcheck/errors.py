@@ -38,6 +38,11 @@ class InvariantViolation(VerificationFailure):
     """A loop-head invariant clause did not hold during execution."""
 
 
+def _invariant(condition: bool, where: str, clause: str) -> None:
+    if not condition:
+        raise InvariantViolation(f"{where}: {clause}")
+
+
 class BoundViolation(VerificationFailure):
     """A proven error bound was exceeded by an observed value.
 

@@ -43,14 +43,11 @@ class FixFormat(Value):
             raise ValueError("bounds must satisfy inf < 0 < sup")
         if (inf * k).denominator != 1 or (sup * k).denominator != 1:
             raise ValueError("inf and sup must be multiples of the step 1/k")
-        self._fill(k, inf, sup, int(inf * k), int(sup * k))
+        super().__init__(k, inf, sup, int(inf * k), int(sup * k))
 
     @property
     def step(self) -> Fraction:
         return Fraction(1, self.k)
-
-    def in_range(self, value: Fraction) -> bool:
-        return self.inf <= value <= self.sup
 
     def exact(self, value: Fraction | int) -> FixNum:
         """Embed a rational that is already on the grid; raise if it is not."""

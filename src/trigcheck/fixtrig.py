@@ -31,6 +31,7 @@ from .errors import (
     InvariantViolation,
     PreconditionViolation,
     RangeOverflow,
+    _invariant,
 )
 from .exact import rat_str, to_decimal
 from .fixpoint import FixNum
@@ -45,9 +46,6 @@ class FixAlgoResult(Value):
 
     __slots__ = ("value", "n", "a_priori_bound")
 
-    def __init__(self, value: FixNum, n: int, a_priori_bound: Fraction) -> None:
-        self._fill(value, n, a_priori_bound)
-
     def as_dict(self, digits: int = 12) -> dict:
         return {
             "value": str(self.value),
@@ -60,7 +58,7 @@ class FixAlgoResult(Value):
 
 
 class TraceRecord(Value):
-    """Synchronized snapshot of both loops just before guard check k.
+    """Synchronized snapshot of both loops just before guard check k (Fractions).
 
     `delta` is the fix-point term minus the exact (signed) term;
     `delta_bound` is the cumulative propagation cap for this iteration.
@@ -70,11 +68,6 @@ class TraceRecord(Value):
 
     __slots__ = ("k", "tc_exact", "cs_exact", "tcfp", "csfp", "delta", "delta_bound",
                  "ep_exact", "epfp", "tc_half", "tcfp_half", "delta_half")
-
-    def __init__(self, k: int, tc_exact, cs_exact, tcfp, csfp, delta, delta_bound, ep_exact,
-                 epfp, tc_half, tcfp_half, delta_half) -> None:  # Fractions after k
-        self._fill(k, tc_exact, cs_exact, tcfp, csfp, delta, delta_bound, ep_exact, epfp,
-                   tc_half, tcfp_half, delta_half)
 
     def as_dict(self) -> dict:
         return {
@@ -97,9 +90,6 @@ class TraceRecord(Value):
 
 class PairedTrace(Value):
     __slots__ = ("records", "result")
-
-    def __init__(self, records: list[TraceRecord], result: FixAlgoResult) -> None:
-        self._fill(records, result)
 
 
 def error_bound(n: int, delta: Fraction, eps: Fraction) -> Fraction:
@@ -165,11 +155,6 @@ def paired_trace_sin(x: FixNum, eps: FixNum) -> PairedTrace:
     return _run(x, eps, odd=True, with_trace=True)
 
 
-def _invariant(condition: bool, where: str, clause: str) -> None:
-    if not condition:
-        raise InvariantViolation(f"{where}: {clause}")
-
-
 def _past_cap(gap: Fraction, prev: Fraction | int, k: int) -> bool:
     """|gap| > q*|prev| + c, cross-multiplied, for q = (k+1)/(2k) and c = 3/(4k) on step 1/k."""
     return 4 * k * abs(gap.numerator) * prev.denominator > (
@@ -193,9 +178,10 @@ def _fix_heads(x: FixNum, eps: FixNum, odd: bool) -> Iterator[tuple]:
             accfp = accfp + tcfp
             k += 1
             fac = 2 * k + shift  # 2k for cosine, 2k+1 for sine; the step's factors are fac-1, fac
-            tcfp_half = tcfp * (x / fmt.from_int(fac - 1))
-            tcfp = (-tcfp_half) * (x / fmt.from_int(fac))
-            epfp = fmt.from_int(fac) * (fmt.from_int(fac - 1) * epfp)
+            lo, hi = fmt.from_int(fac - 1), fmt.from_int(fac)
+            tcfp_half = tcfp * (x / lo)
+            tcfp = (-tcfp_half) * (x / hi)
+            epfp = hi * (lo * epfp)
     except RangeOverflow as exc:
         exc.iteration = k
         raise

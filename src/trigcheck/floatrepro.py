@@ -89,7 +89,8 @@ def cos_code_in_c(x: float, eps: float, cap: int | None = None) -> float:
         dn = r[0]
         count += 1
     if abs(stc) == inf:  # an infinite term never falls to eps
-        raise IterationCapExceeded(f"no convergence within {cap} iterations")
+        raise IterationCapExceeded(
+            f"no convergence: term overflowed to infinity at iteration {count}")
     return cs
 
 

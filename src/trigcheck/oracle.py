@@ -20,12 +20,7 @@ import math
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .errors import (
-    ArgOutOfRange,
-    EpsOutOfRange,
-    InvariantViolation,
-    NonPositiveEps,
-)
+from .errors import ArgOutOfRange, EpsOutOfRange, NonPositiveEps, _invariant
 from .exact import rat_str, to_decimal
 from .value import Value
 
@@ -35,9 +30,6 @@ class AlgoResult(Value):
 
     __slots__ = ("value", "iterations", "a_priori_bound")
 
-    def __init__(self, value: Fraction, iterations: int, a_priori_bound: Fraction) -> None:
-        self._fill(value, iterations, a_priori_bound)
-
     def as_dict(self, digits: int = 12) -> dict:
         return {
             "value": rat_str(self.value),
@@ -45,11 +37,6 @@ class AlgoResult(Value):
             "iterations": self.iterations,
             "bound": rat_str(self.a_priori_bound),
         }
-
-
-def _invariant(condition: bool, where: str, clause: str) -> None:
-    if not condition:
-        raise InvariantViolation(f"{where}: invariant clause failed: {clause}")
 
 
 # pi_leibniz checks its partial-sum clause, against a sum of the definitional
@@ -73,11 +60,12 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
     n, sign = 1, -1
     quarter = eps / 4
     partial = Fraction(1)
+    where = "pi_leibniz: invariant clause failed"
     while True:
-        _invariant(sign == (1 if n % 2 == 0 else -1), "pi_leibniz", "sign = (-1)^n")
+        _invariant(sign == (1 if n % 2 == 0 else -1), where, "sign = (-1)^n")
         if n <= FULL_SUM_CHECK_LIMIT:
             _invariant(num * partial.denominator == partial.numerator * den,
-                       "pi_leibniz", "qp = sum of first n series terms")
+                       where, "qp = sum of first n series terms")
             partial += Fraction(1 if n % 2 == 0 else -1, 2 * n + 1)
         if quarter.numerator * (2 * n + 1) >= quarter.denominator:  # guard eps/4 < 1/(2n+1)
             break
@@ -87,7 +75,7 @@ def pi_leibniz(eps: Fraction) -> AlgoResult:
         n += 1
         sign = -sign
     expected = max(0, math.ceil(Fraction(2) / eps - Fraction(3, 2)))
-    _invariant(n - 1 == expected, "pi_leibniz", "iterations = ceil(2/eps - 3/2)")
+    _invariant(n - 1 == expected, where, "iterations = ceil(2/eps - 3/2)")
     return AlgoResult(4 * Fraction(num, den), n - 1, eps)
 
 
@@ -127,27 +115,28 @@ def _checked_series(x: Fraction, eps: Fraction, odd: bool, zerone: bool) -> Algo
     eps >= 1/(2n)! >= |term| certifies the result; it reports the final n,
     min{N : (2N)! * eps >= 1} (sine: (2N+1)!).
     """
-    name = ("sin_" if odd else "cos_") + ("zerone" if zerone else "taylor")
     if not 0 < eps < 1:
         raise EpsOutOfRange("0 < eps < 1", f"got {eps}")
     if zerone and not -1 <= x <= 1:
         raise ArgOutOfRange("-1 <= x <= 1", f"got {x}")
     shift = 1 if odd else 0
+    name = ("sin_" if odd else "cos_") + ("zerone" if zerone else "taylor")
+    where = f"{name}: invariant clause failed"
     (p, q), (e_num, e_den) = x.as_integer_ratio(), eps.as_integer_ratio()
     pn, pd = p ** shift, q ** shift  # sum of the first n definitional terms, over q^m * m!
     for n, sign, t, a, d, fact in _scaled_heads(x, odd):
         # the head invariant over the unreduced d; m!, p^m, q^m are its definitional side
         m = 2 * n + shift
         parity = 1 if n % 2 == 0 else -1
-        _invariant(sign == parity, name, "sign = (-1)^n")
+        _invariant(sign == parity, where, "sign = (-1)^n")
         def_fact = math.factorial(m)
         if zerone:
             _invariant(sign * fact == parity * def_fact,  # eps > 0 cancels
-                       name, "ep = (-1)^n * (2n)! * eps scaled for parity")
+                       where, "ep = (-1)^n * (2n)! * eps scaled for parity")
         def_t, def_d = p ** m, q ** m * def_fact
-        _invariant(t * def_d == def_t * d, name, "term = x^(2n)/(2n)! scaled for parity")
+        _invariant(t * def_d == def_t * d, where, "term = x^(2n)/(2n)! scaled for parity")
         pn, pd = pn * (def_d // pd), def_d
-        _invariant(a * pd == pn * d, name, "accumulator = partial Taylor sum")
+        _invariant(a * pd == pn * d, where, "accumulator = partial Taylor sum")
         pn += parity * def_t
         # zerone stops once |ep| = fact * eps >= 1, Taylor once |term| <= eps
         if not (fact * e_num < e_den if zerone else e_num * d < abs(t) * e_den):

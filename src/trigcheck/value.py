@@ -1,7 +1,7 @@
 """`Value`, the `__slots__` base of the immutable records. A subclass's fields,
 its `__slots__` or those it names in `_fields`, give equality by class and field
 tuple, the hash of that tuple, the repr, and the pickled form (the class called
-on them). `__init__` sets the slots with `_fill`; none can change after it."""
+on them). `__init__` sets one value per slot, in slot order; none can change after it."""
 
 from operator import attrgetter
 
@@ -15,7 +15,10 @@ class Value:
         cls._values = attrgetter(*cls._fields)
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
-    def _fill(self, *values) -> None:
+    def __init__(self, *values) -> None:
+        if len(values) != len(self._setters):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._setters)} values, "
+                            f"got {len(values)}")
         for setter, value in zip(self._setters, values):
             setter(self, value)
 

@@ -1,7 +1,9 @@
 """Reference copy of the binary32 loop as it ran on numpy float32 scalars.
 
 `cos_code_in_c` and `scan_table` below are the library's routines as they
-stood before it dropped numpy, kept verbatim apart from the numpy loading:
+stood before it dropped numpy, kept verbatim apart from the numpy loading
+and the stop at an infinite term, which names the iteration that made it,
+as the library does:
 every arithmetic step is performed on numpy float32 scalars, so each
 intermediate result rounds to IEEE binary32 (round to nearest, ties to even).
 They are oracles for `tests/test_binary32_reference.py`: the library must
@@ -32,6 +34,9 @@ def cos_code_in_c(x: np.float32, eps: np.float32, cap: int | None = None) -> np.
     dn = _ONE
     count = 0
     while np.abs(stc) > eps:
+        if np.isinf(stc):
+            raise IterationCapExceeded(
+                f"no convergence: term overflowed to infinity at iteration {count}")
         if count >= cap:
             raise IterationCapExceeded(f"no convergence within {cap} iterations")
         stc = -stc * x * x / (dn * (dn + _ONE))

@@ -87,12 +87,20 @@ def test_repro_table_output(tmp_path, capsys):
 
 
 def test_repro_table_cap_exit_code(capsys):
-    # the binary32 terms overflow to inf and never fall below eps; the
-    # golden corpus pins the plain cap and stall messages
+    # the binary32 terms overflow to inf at iteration 25, long before the cap,
+    # and never fall below eps; the golden corpus pins the plain cap and stall
+    # messages
     code, out, err = run_cli(capsys, "repro-table1", "--min", "100", "--max", "100",
                              "--cap", "1000")
     assert (code, out) == (2, "")
-    assert err == "trigcheck: no convergence within 1000 iterations\n"
+    assert err == "trigcheck: no convergence: term overflowed to infinity at iteration 25\n"
+
+
+def test_repro_table_infinite_argument_overflows_at_once(capsys):
+    # 1e39 rounds to inf in binary32, so the first term is already infinite
+    code, out, err = run_cli(capsys, "repro-table1", "--min", "1e39", "--max", "1e39")
+    assert (code, out) == (2, "")
+    assert err == "trigcheck: no convergence: term overflowed to infinity at iteration 1\n"
 
 
 @pytest.mark.parametrize("raw", ["abc", "1e3", "0", "-3"])

@@ -1,7 +1,7 @@
 """The integer FixNum `*`/`/` kernel against the exact-rational path it replaced.
 
 `fraction_mul`/`fraction_div` are the reference: they form the exact
-rational result, range-check it with `in_range`, and round it with
+rational result, range-check it against [inf, sup], and round it with
 `from_rat`. The kernel must give the same grid value, or raise the same
 exception with the same message, on every operand pair.
 """
@@ -28,9 +28,13 @@ FORMATS = (
 )
 
 
+def in_range(fmt: FixFormat, value: Fraction) -> bool:
+    return fmt.inf <= value <= fmt.sup
+
+
 def fraction_mul(a: FixNum, b: FixNum) -> FixNum:
     exact = Fraction(a.m * b.m, a.fmt.k**2)
-    if not a.fmt.in_range(exact):
+    if not in_range(a.fmt, exact):
         raise RangeOverflow(f"exact product {exact} leaves range")
     return a.fmt.from_rat(exact)
 
@@ -39,7 +43,7 @@ def fraction_div(a: FixNum, b: FixNum) -> FixNum:
     if b.m == 0:
         raise ZeroDivisionError("fix-point division by zero")
     exact = Fraction(a.m, b.m)
-    if not a.fmt.in_range(exact):
+    if not in_range(a.fmt, exact):
         raise RangeOverflow(f"exact quotient {exact} leaves range")
     return a.fmt.from_rat(exact)
 

@@ -63,16 +63,18 @@ def test_repro_table_cap_prints_only_the_cap_message():
     proc = run_fresh(["repro-table1", "--min", "100", "--max", "100", "--cap", "1000"],
                      block_numpy=False)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "trigcheck: no convergence within 1000 iterations\n"
+    assert proc.stderr == ("trigcheck: no convergence: term overflowed to infinity "
+                           "at iteration 25\n")
 
 
 def test_infinite_term_ends_the_row_at_once():
-    # the term is infinite within about fifty iterations; running on to a
-    # cap of 10^9 would take minutes
+    # the term is infinite after 25 iterations; running on to a cap of 10^9
+    # would take minutes
     proc = run_fresh(["repro-table1", "--min", "100", "--max", "100",
                       "--cap", "1000000000"], block_numpy=False, timeout=20)
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "trigcheck: no convergence within 1000000000 iterations\n"
+    assert proc.stderr == ("trigcheck: no convergence: term overflowed to infinity "
+                           "at iteration 25\n")
 
 
 def test_closed_stdout_ends_quietly():

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 
 import pytest
@@ -256,8 +255,9 @@ def test_each_head_clause_catches_its_fault(corrupt, clause, fn, monkeypatch):
             yield corrupt(*head) if head[0] == 3 else head
 
     monkeypatch.setattr(oracle, "_scaled_heads", faulty)
-    with pytest.raises(InvariantViolation, match=re.escape(f"invariant clause failed: {clause}")):
+    with pytest.raises(InvariantViolation) as exc:
         fn(Fraction(3, 4), Fraction(1, 10**12))
+    assert str(exc.value) == f"{fn.__name__}: invariant clause failed: {clause}"
 
 
 # one unit in the last place of a head's unreduced numerator: d has about 240
@@ -290,6 +290,54 @@ def test_one_unit_fault_at_head_70_is_caught(corrupt, clause, fn, x, monkeypatch
             yield head
 
     monkeypatch.setattr(oracle, "_scaled_heads", faulty)
-    with pytest.raises(InvariantViolation, match=re.escape(f"invariant clause failed: {clause}")):
+    with pytest.raises(InvariantViolation) as exc:
         fn(x, Fraction(1, 10**300))
+    assert str(exc.value) == f"{fn.__name__}: invariant clause failed: {clause}"
     assert digits[0] > (660 if x.denominator == 1000 else 240)
+
+
+def _lying_math(monkeypatch, **lies):
+    """Make oracle's `math` answer through `lies`, by name; other names stay real."""
+    from types import SimpleNamespace
+
+    from trigcheck import oracle
+
+    names = {name: getattr(math, name) for name in ("ceil", "factorial", "gcd")}
+    monkeypatch.setattr(oracle, "math", SimpleNamespace(**{**names, **lies}))
+
+
+def test_pi_iteration_clause_catches_a_miscounted_ceil(monkeypatch):
+    from trigcheck.errors import InvariantViolation
+
+    _lying_math(monkeypatch, ceil=lambda value: math.ceil(value) + 1)
+    with pytest.raises(InvariantViolation) as exc:
+        pi_leibniz(Fraction(1, 10))
+    assert str(exc.value) == "pi_leibniz: invariant clause failed: iterations = ceil(2/eps - 3/2)"
+
+
+def test_pi_partial_sum_clause_catches_one_lying_gcd(monkeypatch):
+    # at n = 1 a gcd of 2 gives scale 3 // 2 = 1 and adds 1 // 3 = 0: the
+    # first term -1/3 is lost, and head 2 compares qp = 1 with 1 - 1/3
+    from trigcheck.errors import InvariantViolation
+
+    calls = []
+
+    def gcd(a, b):
+        calls.append((a, b))
+        return 2 if len(calls) == 1 else math.gcd(a, b)
+
+    _lying_math(monkeypatch, gcd=gcd)
+    with pytest.raises(InvariantViolation) as exc:
+        pi_leibniz(Fraction(1, 10))
+    assert str(exc.value) == "pi_leibniz: invariant clause failed: qp = sum of first n series terms"
+    assert len(calls) == 1
+
+
+def test_records_take_one_positional_value_per_slot():
+    from trigcheck import AlgoResult
+
+    assert AlgoResult(Fraction(1), 0, Fraction(1, 2)).iterations == 0
+    with pytest.raises(TypeError, match="^AlgoResult takes 3 values, got 2$"):
+        AlgoResult(Fraction(1), 0)
+    with pytest.raises(TypeError):
+        AlgoResult(value=Fraction(1), iterations=0, a_priori_bound=Fraction(1, 2))
