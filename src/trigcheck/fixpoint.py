@@ -9,9 +9,11 @@ exact result already lies on the grid. Because the step divides 1, every
 integer inside [inf, sup] is itself a grid value, which the series algorithms
 exploit for exact counter scaling.
 
-A value is stored as its integer multiple m of the step, so `*` and `/` work
-on integers alone: the range check compares the exact result's numerator with
-the scaled integer bounds, and the rounding is one `divmod` with ties to even.
+A value is stored as its integer multiple m of the step, and the kernel has
+two rules, on integers alone. `+`, `-` and unary `-` give an exact m, which
+the constructor, the one range check for exact results, keeps in
+[m_inf, m_sup]. `*` and `/` give an exact n/d steps with d > 0, which
+`_rounded` keeps in [m_inf*d, m_sup*d] and rounds once, ties to even.
 
 Both classes are immutable `Value` records, compared by (k, inf, sup) and
 (m, fmt); FixNum, built by every operation, sets its slots' descriptors itself.
@@ -112,43 +114,34 @@ class FixNum(Value):
         if other.fmt is not self.fmt and other.fmt != self.fmt:
             raise FormatMismatch(f"operand formats differ: {self.fmt} vs {other.fmt}")
 
-    def _exact_result(self, m: int, op: str) -> FixNum:
-        if not (self.fmt.m_inf <= m <= self.fmt.m_sup):
-            raise RangeOverflow(f"exact {op} result {m}/{self.fmt.k} leaves range")
-        return FixNum(m, self.fmt)
-
     def __add__(self, other: FixNum) -> FixNum:
         self._require_same_format(other)
-        return self._exact_result(self.m + other.m, "sum")
+        return FixNum(self.m + other.m, self.fmt)
 
     def __sub__(self, other: FixNum) -> FixNum:
         self._require_same_format(other)
-        return self._exact_result(self.m - other.m, "difference")
+        return FixNum(self.m - other.m, self.fmt)
 
     def __neg__(self) -> FixNum:
-        return self._exact_result(-self.m, "negation")
+        return FixNum(-self.m, self.fmt)
 
     def __mul__(self, other: FixNum) -> FixNum:
-        # the exact product is p/k^2, in range iff m_inf*k <= p <= m_sup*k
         self._require_same_format(other)
-        fmt = self.fmt
-        k = fmt.k
-        p = self.m * other.m
-        if not (fmt.m_inf * k <= p <= fmt.m_sup * k):
-            raise RangeOverflow(f"exact product {Fraction(p, k * k)} leaves range")
-        return FixNum(_round_half_even(p, k), fmt)
+        return self._rounded(self.m * other.m, self.fmt.k, "product")
 
     def __truediv__(self, other: FixNum) -> FixNum:
-        # the exact quotient is p/q with q > 0, in range iff m_inf*q <= k*p <= m_sup*q
         self._require_same_format(other)
         if other.m == 0:
             raise ZeroDivisionError("fix-point division by zero")
-        fmt = self.fmt
         p, q = (self.m, other.m) if other.m > 0 else (-self.m, -other.m)
-        kp = fmt.k * p
-        if not (fmt.m_inf * q <= kp <= fmt.m_sup * q):
-            raise RangeOverflow(f"exact quotient {Fraction(p, q)} leaves range")
-        return FixNum(_round_half_even(kp, q), fmt)
+        return self._rounded(self.fmt.k * p, q, "quotient")
+
+    def _rounded(self, n: int, d: int, what: str) -> FixNum:
+        # the exact result is n/d steps with d > 0, in range iff m_inf*d <= n <= m_sup*d
+        fmt = self.fmt
+        if not (fmt.m_inf * d <= n <= fmt.m_sup * d):
+            raise RangeOverflow(f"exact {what} {Fraction(n, d * fmt.k)} leaves range")
+        return FixNum(_round_half_even(n, d), fmt)
 
     # no __gt__/__ge__: Python reflects a > b to b < a and a >= b to b <= a
     def __lt__(self, other: FixNum) -> bool:

@@ -1,8 +1,10 @@
-"""The integer FixNum `*`/`/` kernel against the exact-rational path it replaced.
+"""The integer FixNum kernel against an exact-rational path, for all five operations.
 
-`fraction_mul`/`fraction_div` are the reference: they form the exact
-rational result, range-check it against [inf, sup], and round it with
-`from_rat`. The kernel must give the same grid value, or raise the same
+`fraction_mul`/`fraction_div` are the reference for `*` and `/`: they form the
+exact rational result, range-check it against [inf, sup], and round it with
+`from_rat`. `fraction_add`/`fraction_sub`/`fraction_neg` are the reference for
+the exact operations: they form the exact result, range-check it, and build it
+with `FixNum`. The kernel must give the same grid value, or raise the same
 exception with the same message, on every operand pair.
 """
 
@@ -48,9 +50,28 @@ def fraction_div(a: FixNum, b: FixNum) -> FixNum:
     return a.fmt.from_rat(exact)
 
 
-def outcome(fn, a: FixNum, b: FixNum):
+def exact_result(fmt: FixFormat, exact: Fraction) -> FixNum:
+    m = int(exact * fmt.k)  # grid operands give a result on the grid
+    if not in_range(fmt, exact):
+        raise RangeOverflow(f"{m}/{fmt.k} outside [{fmt.inf}, {fmt.sup}]")
+    return FixNum(m, fmt)
+
+
+def fraction_add(a: FixNum, b: FixNum) -> FixNum:
+    return exact_result(a.fmt, a.to_rat() + b.to_rat())
+
+
+def fraction_sub(a: FixNum, b: FixNum) -> FixNum:
+    return exact_result(a.fmt, a.to_rat() - b.to_rat())
+
+
+def fraction_neg(a: FixNum) -> FixNum:
+    return exact_result(a.fmt, -a.to_rat())
+
+
+def outcome(fn, *operands: FixNum):
     try:
-        return fn(a, b)
+        return fn(*operands)
     except (RangeOverflow, ZeroDivisionError) as exc:
         return type(exc), str(exc)
 
@@ -88,14 +109,26 @@ def test_div_matches_fraction_path(pair):
     assert outcome(FixNum.__truediv__, a, b) == outcome(fraction_div, a, b)
 
 
+@settings(max_examples=500)
+@given(operand_pairs())
+def test_add_sub_neg_match_fraction_path(pair):
+    a, b = pair
+    assert outcome(FixNum.__add__, a, b) == outcome(fraction_add, a, b)
+    assert outcome(FixNum.__sub__, a, b) == outcome(fraction_sub, a, b)
+    assert outcome(FixNum.__neg__, a) == outcome(fraction_neg, a)
+
+
 @pytest.mark.parametrize("fmt", FORMATS, ids=str)
 def test_kernel_matches_fraction_path_at_anchors(fmt):
     values = [FixNum(min(max(m + d, fmt.m_inf), fmt.m_sup), fmt)
               for m in anchors(fmt) for d in (-1, 0, 1)]
     for a in values:
+        assert outcome(FixNum.__neg__, a) == outcome(fraction_neg, a)
         for b in values:
             assert outcome(FixNum.__mul__, a, b) == outcome(fraction_mul, a, b)
             assert outcome(FixNum.__truediv__, a, b) == outcome(fraction_div, a, b)
+            assert outcome(FixNum.__add__, a, b) == outcome(fraction_add, a, b)
+            assert outcome(FixNum.__sub__, a, b) == outcome(fraction_sub, a, b)
 
 
 def test_format_identity_unchanged_by_cached_bounds():

@@ -79,6 +79,10 @@ CASES = {
     "exit2-repro-table1-stall": (["repro-table1", "--min", "1", "--max", "2",
                                   "--step", "1e-8"], None, None),
     "exit2-repro-table1-eps-negative": (["repro-table1", "--eps=-1e-6"], None, None),
+    # x*x/2 = 4/8 at head 1, and its negation leaves [-1/8, 100]; no other
+    # case reaches a RangeOverflow from the fix-point loop
+    "exit2-fixcos-range-overflow": (["fixcos", "--format", "1/8:[-1/8,100]", "--eps", "1/4",
+                                     "--x", "1"], None, None),
     "exit3-headline": (["fixcos", "--format", UNIT, "--eps", "1/4", "--x", "1/2"],
                        None, "reference-plus-one"),
     # an output file in a directory that does not exist: one line, exit 1
