@@ -14,6 +14,9 @@ two rules, on integers alone. `+`, `-` and unary `-` give an exact m, which
 the constructor, the one range check for exact results, keeps in
 [m_inf, m_sup]. `*` and `/` give an exact n/d steps with d > 0, which
 `_rounded` keeps in [m_inf*d, m_sup*d] and rounds once, ties to even.
+`from_rat` reads p/q as n = p*k over d = q steps, keeps it in the half-step
+band (2*m_inf - 1)*d <= 2n <= (2*m_sup + 1)*d, and rounds it with the same
+`_round_half_even`, clamped to [m_inf, m_sup]: the band's edges snap to the bounds.
 
 Both classes are immutable `Value` records, compared by (k, inf, sup) and
 (m, fmt); FixNum, built by every operation, sets its slots' descriptors itself.
@@ -54,32 +57,22 @@ class FixFormat(Value):
     def exact(self, value: Fraction | int) -> FixNum:
         """Embed a rational that is already on the grid; raise if it is not."""
         value = Fraction(value)
-        scaled = value * self.k
-        if scaled.denominator != 1:
+        if self.k % value.denominator:
             raise ValueError(f"{value} is not a multiple of 1/{self.k}")
-        return FixNum(int(scaled), self)
+        return FixNum(value.numerator * (self.k // value.denominator), self)
 
     def from_int(self, i: int) -> FixNum:
         return FixNum(i * self.k, self)
 
     def from_rat(self, value: Fraction | int) -> FixNum:
-        """Round a rational to the nearest grid value (ties to even multiple).
-
-        Inputs in (sup, sup + step/2] and [inf - step/2, inf) still have a
-        nearest grid value (the boundary itself, within half a step), so they
-        round to it; anything further out raises RangeOverflow.
-        """
+        """Nearest grid value, ties to even; up to step/2 past a bound rounds to it."""
         value = Fraction(value)
-        half = self.step / 2
-        if value > self.sup:
-            if value <= self.sup + half:
-                return FixNum(self.m_sup, self)
+        n, d = value.numerator * self.k, value.denominator  # value is n/d steps
+        if 2 * n > (2 * self.m_sup + 1) * d:
             raise RangeOverflow(f"{value} exceeds sup={self.sup} by more than step/2")
-        if value < self.inf:
-            if value >= self.inf - half:
-                return FixNum(self.m_inf, self)
+        if 2 * n < (2 * self.m_inf - 1) * d:
             raise RangeOverflow(f"{value} undershoots inf={self.inf} by more than step/2")
-        return FixNum(round(value * self.k), self)
+        return FixNum(min(max(_round_half_even(n, d), self.m_inf), self.m_sup), self)
 
     @classmethod
     def parse(cls, text: str) -> FixFormat:

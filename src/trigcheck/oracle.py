@@ -170,20 +170,26 @@ def _unbounded(x: Fraction, eps: Fraction, odd: bool) -> Fraction:
     eps = Fraction(eps)
     if eps <= 0:
         raise NonPositiveEps("eps > 0", f"got {eps}")
-    e_num, e_den = eps.numerator, eps.denominator
-    # the term before head 1, x^s/s!, over q^s; stop once it is <= eps
-    t_prev, d_prev = (x.numerator, x.denominator) if odd else (1, 1)
-    for _, _, t, a, d, _ in _scaled_heads(x, odd):
-        if abs(t_prev) * e_den <= e_num * d_prev:
+    (p, q), (e_num, e_den) = x.as_integer_ratio(), eps.as_integer_ratio()
+    shift = 1 if odd else 0
+    # stop once the last term added, x^m/m! (before head 1, x^s/s! over q^s),
+    # is <= eps and x^2 < (m+1)(m+2): the omitted tail then alternates and
+    # decreases, so it is below that term; for eps < 1 the first test implies
+    # the second, as |x|^m/m! < 1 forces |x| <= m
+    t_prev, d_prev = (p, q) if odd else (1, 1)
+    for n, _, t, a, d, _ in _scaled_heads(x, odd):
+        if (abs(t_prev) * e_den <= e_num * d_prev
+                and p * p < q * q * (2 * n + shift - 1) * (2 * n + shift)):
             return Fraction(a, d)
         t_prev, d_prev = t, d
 
 
 def cos_unbounded(x: Fraction, eps: Fraction) -> Fraction:
-    """Taylor cosine partial sum truncated at the first term with |term| <= eps.
+    """Taylor cosine partial sum within eps of cos x, for any rational x and eps > 0.
 
-    Accepts any rational argument; this is the golden-data generator used to
-    check everything else against.
+    The sum ends with the first term x^m/m! that has |term| <= eps and
+    x^2 < (m+1)(m+2). This is the golden-data generator used to check
+    everything else against.
     """
     return _unbounded(x, eps, odd=False)
 

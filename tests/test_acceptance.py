@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from reference_fixpoint import in_range
 from trigcheck import (
     FixNum,
     cos_taylor,
@@ -28,10 +29,6 @@ from trigcheck.errors import RangeOverflow
 from trigcheck.fixpoint import FixFormat
 
 SEED = 1789
-
-
-def in_range(fmt: FixFormat, value: Fraction) -> bool:
-    return fmt.inf <= value <= fmt.sup
 
 
 def _report(number: int, message: str) -> None:

@@ -8,15 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_fixpoint import in_range
 from trigcheck import FixFormat, FixNum
 from trigcheck.errors import FormatMismatch, RangeOverflow
 
 TENTHS = FixFormat(10, Fraction(-2), Fraction(2))
 K256 = FixFormat(256, Fraction(-8), Fraction(64))
-
-
-def in_range(fmt: FixFormat, value: Fraction) -> bool:
-    return fmt.inf <= value <= fmt.sup
 
 
 def test_format_literal_round_trip():

@@ -2,10 +2,14 @@
 
 `fraction_mul`/`fraction_div` are the reference for `*` and `/`: they form the
 exact rational result, range-check it against [inf, sup], and round it with
-`from_rat`. `fraction_add`/`fraction_sub`/`fraction_neg` are the reference for
+`reference_fixpoint.from_rat`, the Fraction path `FixFormat.from_rat` once
+took. `fraction_add`/`fraction_sub`/`fraction_neg` are the reference for
 the exact operations: they form the exact result, range-check it, and build it
 with `FixNum`. The kernel must give the same grid value, or raise the same
-exception with the same message, on every operand pair.
+exception with the same message, on every operand pair. The grid embeddings
+`FixFormat.from_rat` and `FixFormat.exact`, which now round and test on
+integer steps, are held to the same Fraction copies on values at and around
+every bound and on drawn rationals.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_fixpoint as ref
+from reference_fixpoint import in_range
 from trigcheck import FixFormat, FixNum
 from trigcheck.errors import FormatMismatch, RangeOverflow
 
@@ -30,15 +36,11 @@ FORMATS = (
 )
 
 
-def in_range(fmt: FixFormat, value: Fraction) -> bool:
-    return fmt.inf <= value <= fmt.sup
-
-
 def fraction_mul(a: FixNum, b: FixNum) -> FixNum:
     exact = Fraction(a.m * b.m, a.fmt.k**2)
     if not in_range(a.fmt, exact):
         raise RangeOverflow(f"exact product {exact} leaves range")
-    return a.fmt.from_rat(exact)
+    return ref.from_rat(a.fmt, exact)
 
 
 def fraction_div(a: FixNum, b: FixNum) -> FixNum:
@@ -47,7 +49,7 @@ def fraction_div(a: FixNum, b: FixNum) -> FixNum:
     exact = Fraction(a.m, b.m)
     if not in_range(a.fmt, exact):
         raise RangeOverflow(f"exact quotient {exact} leaves range")
-    return a.fmt.from_rat(exact)
+    return ref.from_rat(a.fmt, exact)
 
 
 def exact_result(fmt: FixFormat, exact: Fraction) -> FixNum:
@@ -129,6 +131,60 @@ def test_kernel_matches_fraction_path_at_anchors(fmt):
             assert outcome(FixNum.__truediv__, a, b) == outcome(fraction_div, a, b)
             assert outcome(FixNum.__add__, a, b) == outcome(fraction_add, a, b)
             assert outcome(FixNum.__sub__, a, b) == outcome(fraction_sub, a, b)
+
+
+
+def embedding_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (RangeOverflow, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_embeddings(fmt: FixFormat, value: Fraction | int) -> None:
+    assert embedding_outcome(fmt.from_rat, value) == embedding_outcome(ref.from_rat, fmt, value)
+    assert embedding_outcome(fmt.exact, value) == embedding_outcome(ref.exact, fmt, value)
+
+
+def embedding_anchors(fmt: FixFormat) -> list[Fraction | int]:
+    """Rationals at and around inf, sup, 0 and +-1: every eighth of a step from
+    three steps below to three above, each odd half step nudged by a thousandth
+    of a step either way, and a third of a step to each side; plus integers
+    just outside the range."""
+    values: list[Fraction | int] = [0, 1, -1, math.floor(fmt.sup) + 1, math.ceil(fmt.inf) - 1]
+    for centre in (fmt.inf, fmt.sup, Fraction(0), Fraction(1), Fraction(-1)):
+        values += [centre + j * fmt.step / 8 for j in range(-24, 25)]
+        values += [centre + (Fraction(j, 2) + nudge) * fmt.step
+                   for j in range(-5, 6, 2) for nudge in (Fraction(-1, 1000), Fraction(1, 1000))]
+        values += [centre - fmt.step / 3, centre + fmt.step / 3]
+    return values
+
+
+@pytest.mark.parametrize("fmt", FORMATS, ids=str)
+def test_embeddings_match_fraction_path_at_anchors(fmt):
+    for value in embedding_anchors(fmt):
+        assert_same_embeddings(fmt, value)
+
+
+def rationals_around(fmt: FixFormat):
+    """Rationals within three units of the range over any denominator, or over a
+    divisor of k (so some lie on the grid), or within three steps of a bound."""
+    denominators = st.one_of(st.integers(1, 10**6), st.just(2 * fmt.k),
+                             st.integers(1, 10**6).map(lambda j: fmt.k // math.gcd(fmt.k, j)))
+    anywhere = denominators.flatmap(lambda d: st.builds(
+        Fraction, st.integers(math.floor((fmt.inf - 3) * d), math.ceil((fmt.sup + 3) * d)),
+        st.just(d)))
+    near_bound = st.integers(1, 1000).flatmap(lambda d: st.builds(
+        lambda bound, i: bound + Fraction(i, d * fmt.k),
+        st.sampled_from([fmt.inf, fmt.sup]), st.integers(-3 * d, 3 * d)))
+    return st.one_of(anywhere, near_bound)
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(FORMATS).flatmap(lambda fmt: st.tuples(st.just(fmt), rationals_around(fmt))))
+def test_embeddings_match_fraction_path(drawn):
+    fmt, value = drawn
+    assert_same_embeddings(fmt, value)
 
 
 def test_format_identity_unchanged_by_cached_bounds():
