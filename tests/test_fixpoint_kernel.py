@@ -167,8 +167,9 @@ def test_embeddings_match_fraction_path_at_anchors(fmt):
 
 
 def rationals_around(fmt: FixFormat):
-    """Rationals within three units of the range over any denominator, or over a
-    divisor of k (so some lie on the grid), or within three steps of a bound."""
+    """Rationals within three units of the range over any denominator, over 2k
+    (the half-step ties) or over a divisor of k (so some lie on the grid), and
+    rationals within three steps of a bound."""
     denominators = st.one_of(st.integers(1, 10**6), st.just(2 * fmt.k),
                              st.integers(1, 10**6).map(lambda j: fmt.k // math.gcd(fmt.k, j)))
     anywhere = denominators.flatmap(lambda d: st.builds(

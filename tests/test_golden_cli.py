@@ -42,6 +42,9 @@ CASES = {
                                None, None),
     "sin-unbounded-json": (["sin", "--x", "1", "--eps", "1/1000", "--unbounded", "--json"],
                            None, None),
+    # eps >= 1: the sum runs on until x^2 < (m+1)(m+2), so it stays within eps of cos x
+    "cos-unbounded-eps-above-one": (["cos", "--unbounded", "--x", "314159/100000",
+                                     "--eps", "3/2"], None, None),
     # past head 64 (about 85 heads), where the checked loops' integers grow to
     # hundreds of digits
     "cos-zerone-deep": (["cos", "--x", "1", "--eps", "1e-300", "--zerone"], None, None),
@@ -57,6 +60,9 @@ CASES = {
                            "--trace", "trace.json"], "trace.json", None),
     "fixcos-trace-json-json": (["fixcos", "--format", UNIT, "--eps", "1/256", "--x=-1/2",
                                 "--trace", "trace.json", "--json"], "trace.json", None),
+    # the 2^40 grid, where the exact twin's unreduced integers grow largest
+    "fixsin-trace-json-2p40": (["fixsin", "--format", "1/1099511627776:[-8,1024]", "--x", "3/4",
+                                "--eps", "1/1073741824", "--trace", "t40.json"], "t40.json", None),
     "golden": (["golden", "--x", "50", "--eps", "1/100000000", "--digits", "10"],
                None, None),
     "golden-5000": (["golden", "--x", "50", "--eps", "1/100000000", "--digits", "5000"],
@@ -79,6 +85,9 @@ CASES = {
     "exit2-repro-table1-stall": (["repro-table1", "--min", "1", "--max", "2",
                                   "--step", "1e-8"], None, None),
     "exit2-repro-table1-eps-negative": (["repro-table1", "--eps=-1e-6"], None, None),
+    # 1e39 is inf in binary32, so the first term overflows at iteration 1
+    "exit2-repro-table1-overflow": (["repro-table1", "--min", "1e39", "--max", "1e39"],
+                                    None, None),
     # x*x/2 = 4/8 at head 1, and its negation leaves [-1/8, 100]; no other
     # case reaches a RangeOverflow from the fix-point loop
     "exit2-fixcos-range-overflow": (["fixcos", "--format", "1/8:[-1/8,100]", "--eps", "1/4",

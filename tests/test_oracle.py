@@ -333,6 +333,29 @@ def test_pi_partial_sum_clause_catches_one_lying_gcd(monkeypatch):
     assert len(calls) == 1
 
 
+
+def test_pi_sign_clause_catches_a_skipped_flip():
+    # a mutant of pi_leibniz that keeps the sign on entering head 70: heads past
+    # 64 check the sign alone, and eps = 1/50 runs 99 heads
+    import ast
+    import inspect
+    import textwrap
+
+    from trigcheck import oracle
+    from trigcheck.errors import InvariantViolation
+
+    tree = ast.parse(textwrap.dedent(inspect.getsource(oracle.pi_leibniz)))
+    flips = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Assign) and ast.unparse(node) == "sign = -sign"]
+    assert len(flips) == 1
+    flips[0].value = ast.parse("sign if n == 70 else -sign", mode="eval").body
+    namespace = dict(vars(oracle))
+    exec(compile(ast.fix_missing_locations(tree), oracle.__file__, "exec"), namespace)
+    with pytest.raises(InvariantViolation) as exc:
+        namespace["pi_leibniz"](Fraction(1, 50))
+    assert str(exc.value) == "pi_leibniz: invariant clause failed: sign = (-1)^n"
+    assert pi_leibniz(Fraction(1, 50)).iterations == 99
+
 def test_records_take_one_positional_value_per_slot():
     from trigcheck import AlgoResult
 
