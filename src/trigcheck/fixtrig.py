@@ -15,6 +15,9 @@ c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
 the gap before it plus c, and the next gap at most q times that plus c. So each
 gap is at most q^2 times the previous one plus (q+1)*c and stays below
 (3/2)*step/(1-step)*(1 - q^(2k-1)); these two follow and are not checked.
+The closing checks, headline and closing-chain, cross-multiply the result's grid
+numerator with the reference's integers too, so a passing run applies no Fraction
+operator: it builds Fractions from integers only for its records and its result.
 """
 
 from __future__ import annotations
@@ -94,26 +97,24 @@ class PairedTrace(Value):
 
 def error_bound(n: int, delta: Fraction, eps: Fraction) -> Fraction:
     """A-priori error cap eps + 3*n*delta / (2*(1 - delta)), exactly."""
-    delta = Fraction(delta)
-    eps = Fraction(eps)
+    (a, b), (e, f) = Fraction(delta).as_integer_ratio(), Fraction(eps).as_integer_ratio()
     if n < 1:
         raise ValueError("n must be a positive integer")
-    if not 0 < delta < 1:
+    if not 0 < a < b:
         raise ValueError("delta must be in (0, 1)")
-    if eps <= 0:
+    if e <= 0:
         raise ValueError("eps must be positive")
-    a, b = delta.numerator, delta.denominator
-    return eps + Fraction(3 * n * a, 2 * (b - a))
+    return Fraction(2 * (b - a) * e + 3 * n * a * f, 2 * (b - a) * f)
 
 
 def _term_count(eps: Fraction, odd: bool) -> int:
-    eps = Fraction(eps)
-    if eps <= 0:
+    e, f = Fraction(eps).as_integer_ratio()
+    if e <= 0:
         raise ValueError("eps must be positive")
     shift = 1 if odd else 0
     n = 1
     fact = 6 if odd else 2
-    while fact * eps.numerator < eps.denominator:
+    while fact * e < f:
         n += 1
         fact *= (2 * n + shift - 1) * (2 * n + shift)
     return n
@@ -200,12 +201,12 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     if not -fmt.k <= x.m <= fmt.k:
         raise ArgOutOfRange("-1 <= x <= 1", f"got {x_r}")
     n_goal = sin_term_count(eps_r) if odd else cos_term_count(eps_r)
-    if n_goal > fmt.sup:
+    if n_goal * fmt.k > fmt.m_sup:
         raise PreconditionViolation(
             "stop counter representable",
             f"need integer {n_goal} within [inf, sup] of {fmt}")
     sup_needed = 2 * n_goal * (2 * n_goal + 1 if odd else 2 * n_goal - 1)
-    if fmt.sup < sup_needed:
+    if fmt.m_sup < sup_needed * fmt.k:
         raise PreconditionViolation(
             "sup large enough for counter scaling",
             f"need sup >= {sup_needed}, format {fmt}")
@@ -214,26 +215,23 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     one = fmt.from_int(1)
 
     # exact twin: its counter (-1)^k * fact_eps_m steps is the definition itself; its
-    # term (from the oracle's loop heads, carried signed so the gap is a plain
+    # term tn/d (from the oracle's loop heads, signed so the gap is a plain
     # difference) and sum only feed the trace, whose gaps are checked where made
     if with_trace:
         heads = _scaled_heads(x_r, odd)
-        # q = (1+step)/2, c = (3/4)*step and (3/2)*step/(1-step), for step = 1/fmt.k
-        q = Fraction(fmt.k + 1, 2 * fmt.k)
-        gap_cap = Fraction(3, 2 * (fmt.k - 1))
-        first_gap_cap = Fraction(3, 4 * fmt.k)
+        p, q = x_r.numerator, x_r.denominator
         # no gap-step check: half-gap at k-1 and half-gap-step at k compose into it
         # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
 
     records: list[TraceRecord] = []
     for k, epfp, tcfp, accfp, tcfp_half in _fix_heads(x, eps, odd):
         if with_trace and k > 1:
-            tc_half = tc_e * x_r / (2 * k + shift - 1)
-            tcfp_half_r = tcfp_half.to_rat()
-            half_gap = tcfp_half_r - tc_half
+            half_d = d * q * (2 * k + shift - 1)  # the exact half step is tn*p/half_d
+            half_gap = Fraction(tcfp_half.m * half_d - tn * p * fmt.k, fmt.k * half_d)
             if _past_cap(half_gap, gap, fmt.k):
                 raise BoundViolation("half-gap", k=k - 1)
-            records.append(TraceRecord(*head, tc_half, tcfp_half_r, half_gap))
+            records.append(TraceRecord(*head, Fraction(tn * p, half_d), tcfp_half.to_rat(),
+                                       half_gap))
         fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
         _invariant(epfp.m == fact_eps_m, name,
                    "counter stays an exact factorial multiple of eps")
@@ -244,24 +242,28 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             break
         if with_trace:
             _, sign, t, a, d, _ = next(heads)
-            tc_e, acc_e = Fraction(t if sign > 0 else -t, d), Fraction(a, d)
-            tcfp_r = tcfp.to_rat()
-            gap = tcfp_r - tc_e
+            tn = t if sign > 0 else -t
+            gap = Fraction(tcfp.m * d - tn * fmt.k, fmt.k * d)
             if k == 1 and _past_cap(gap, 0, fmt.k):
                 raise BoundViolation("first-gap", k=1, detail=f"{gap}")
             if k > 1 and _past_cap(gap, half_gap, fmt.k):
                 raise BoundViolation("half-gap-step", k=k)
-            head = (k, tc_e, acc_e, tcfp_r, accfp.to_rat(), gap,
-                    gap_cap * (1 - q ** (2 * k - 1)),
+            # delta_bound = (3/2)*step/(1-step) * (1 - q^j), q = (1+step)/2, j = 2k-1
+            qd = (2 * fmt.k) ** (2 * k - 1)
+            head = (k, Fraction(tn, d), Fraction(a, d), tcfp.to_rat(), accfp.to_rat(), gap,
+                    Fraction(3 * (qd - (fmt.k + 1) ** (2 * k - 1)), 2 * (fmt.k - 1) * qd),
                     Fraction(sign * fact_eps_m, fmt.k), epfp.to_rat())
 
     n = k
     _invariant(n == n_goal, name, "final n equals the minimal stop count")
     bound = error_bound(n, fmt.step, eps_r)
-    slack = eps_r / ORACLE_SLACK_DIVISOR
+    div = ORACLE_SLACK_DIVISOR
+    slack = Fraction(eps.m, div * fmt.k)
     reference = (sin_unbounded if odd else cos_unbounded)(x_r, slack)
-    observed = abs(accfp.to_rat() - reference)
-    if observed > bound + slack:
+    (rn, rd), (bn, bd) = reference.as_integer_ratio(), bound.as_integer_ratio()
+    miss = abs(accfp.m * rd - rn * fmt.k)  # the observed error is miss/(k*rd)
+    if miss * div * bd > (div * fmt.k * bn + eps.m * bd) * rd:
+        observed = Fraction(miss, fmt.k * rd)
         raise BoundViolation("headline", detail=(
             f"{name}: observed {to_decimal(observed, 12)} > cap "
             f"{to_decimal(bound + slack, 12)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
@@ -269,11 +271,12 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         if len(records) != n - 1:
             raise InvariantViolation(
                 f"trace holds {len(records)} records, expected n-1 = {n - 1}")
-        chain = first_gap_cap + (n - 2) * gap_cap + eps_r
-        if n >= 2 and observed > chain + slack:
+        # chain + slack = 3/(4k) + (n-2)*3/(2(k-1)) + eps + eps/div, over 4*div*k*(k-1)
+        chain = div * (3 * (fmt.k - 1) + 6 * fmt.k * (n - 2)) + 4 * (fmt.k - 1) * (div + 1) * eps.m
+        if n >= 2 and 4 * div * (fmt.k - 1) * miss > chain * rd:
             raise BoundViolation("closing-chain", detail=(
-                f"observed {to_decimal(observed, 12)} > "
-                f"{to_decimal(chain + slack, 12)}"))
+                f"observed {to_decimal(Fraction(miss, fmt.k * rd), 12)} > "
+                f"{to_decimal(Fraction(chain, 4 * div * fmt.k * (fmt.k - 1)), 12)}"))
     return PairedTrace(records, FixAlgoResult(accfp, n, bound))
 
 

@@ -161,8 +161,9 @@ def appendix(samples: int = 50, seed: int = 0) -> SuiteReport:
     report = SuiteReport("appendix", seed, samples)
     runners = (fixtrig.paired_trace_cos, fixtrig.paired_trace_sin)
     for fmt, _, _, tag, trace in _grid_runs(report, runners, samples, seed):
-        cap = Fraction(3, 2) * fmt.step / (1 - fmt.step)
-        report.add(all(abs(r.delta) <= cap for r in trace.records), f"gap-cap {tag}")
+        # |delta| <= (3/2)*step/(1-step) = 3/(2(k-1)), cross-multiplied
+        report.add(all(2 * (fmt.k - 1) * abs(r.delta.numerator) <= 3 * r.delta.denominator
+                       for r in trace.records), f"gap-cap {tag}")
     return report
 
 

@@ -9,6 +9,10 @@ view lives on here only. Its records keep the half-step values in a nested
 as an oracle for `tests/test_series_reference.py`: the library must give the
 same records (by `as_dict()`), the same result, and the same exceptions with
 the same messages and overflow iterations.
+
+`error_bound` is the library's Fraction body from before the fix-point checks
+moved to integer numerators and denominators, kept verbatim as the reference
+for `tests/test_fixtrig.py` and used by `run` here.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ from trigcheck.fixtrig import (
     FixAlgoResult,
     PairedTrace,
     cos_term_count,
-    error_bound,
     sin_term_count,
 )
 from trigcheck.oracle import _scaled_heads, cos_unbounded, sin_unbounded
@@ -86,6 +89,20 @@ def _heads(x: Fraction, odd: bool):
     """The Fraction view (n, sign, term, acc, fact) of `_scaled_heads`."""
     for n, sign, t, a, d, fact in _scaled_heads(x, odd):
         yield n, sign, Fraction(t, d), Fraction(a, d), fact
+
+
+def error_bound(n: int, delta: Fraction, eps: Fraction) -> Fraction:
+    """A-priori error cap eps + 3*n*delta / (2*(1 - delta)), exactly."""
+    delta = Fraction(delta)
+    eps = Fraction(eps)
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if not 0 < delta < 1:
+        raise ValueError("delta must be in (0, 1)")
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    a, b = delta.numerator, delta.denominator
+    return eps + Fraction(3 * n * a, 2 * (b - a))
 
 
 def _invariant(condition: bool, where: str, clause: str) -> None:

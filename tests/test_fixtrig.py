@@ -7,6 +7,7 @@ import io
 from fractions import Fraction
 
 import pytest
+import reference_fixtrig
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +57,31 @@ def test_error_bound_domain():
         error_bound(1, Fraction(1), Fraction(1, 4))
     with pytest.raises(ValueError):
         error_bound(1, Fraction(1, 2), Fraction(0))
+
+
+def _outcome(fn, *args):
+    """The value and its type, or the exception's type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+# a number as each input form error_bound converts: Fraction, int, float and str,
+# inside (0, 1), outside it, zero and negative, and text that is no number
+_INPUTS = st.one_of(
+    st.fractions(), st.fractions(0, 1), st.integers(-3, 3),
+    st.floats(), st.floats(0, 1),
+    st.fractions().map(str), st.floats().map(str),
+    st.sampled_from(["1/0", "abc", " 3/4 ", "0.001", "-1/4"]))
+
+
+@settings(max_examples=500)
+@given(st.integers(-3, 50), _INPUTS, _INPUTS)
+def test_error_bound_matches_the_fraction_body(n, delta, eps):
+    assert _outcome(error_bound, n, delta, eps) == _outcome(
+        reference_fixtrig.error_bound, n, delta, eps)
 
 
 @pytest.mark.parametrize("eps,expected", [
@@ -367,6 +393,52 @@ def test_closing_chain_is_live(monkeypatch):
     assert cos_fixpoint(x, eps).value == result.value      # headline holds
     with pytest.raises(BoundViolation) as info:
         paired_trace_cos(x, eps)
+    assert info.value.bound == "closing-chain"
+
+
+TIE_X, TIE_EPS = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
+BEYOND = Fraction(1, 2**200)
+
+
+def _reference_at(monkeypatch, result, observed: Fraction, sign: int) -> None:
+    """Substitute both references so that the run's observed error is `observed`."""
+    reference = result.value.to_rat() - sign * observed
+    monkeypatch.setattr(fixtrig, "cos_unbounded", lambda x, eps: reference)
+    monkeypatch.setattr(fixtrig, "sin_unbounded", lambda x, eps: reference)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("run", [cos_fixpoint, sin_fixpoint])
+def test_headline_is_strict_at_an_exact_tie(run, sign, monkeypatch):
+    # an error exactly on a_priori_bound + slack passes and one 2^-200 past it
+    # raises, so the cross-multiplied check compares with > and keeps the slack
+    result = run(TIE_X, TIE_EPS)
+    cap = result.a_priori_bound + TIE_EPS.to_rat() / fixtrig.ORACLE_SLACK_DIVISOR
+    _reference_at(monkeypatch, result, cap, sign)
+    assert run(TIE_X, TIE_EPS) == result
+    _reference_at(monkeypatch, result, cap + BEYOND, sign)
+    with pytest.raises(BoundViolation) as info:
+        run(TIE_X, TIE_EPS)
+    assert info.value.bound == "headline"
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("traced,untraced", [(paired_trace_cos, cos_fixpoint),
+                                             (paired_trace_sin, sin_fixpoint)])
+def test_closing_chain_is_strict_at_an_exact_tie(traced, untraced, sign, monkeypatch):
+    # the same at chain + slack, which lies below the headline cap: past it only
+    # closing-chain fires
+    _, first_gap_cap, gap_cap = _gap_caps(K65536)
+    trace = traced(TIE_X, TIE_EPS)
+    eps_r, n = TIE_EPS.to_rat(), trace.result.n
+    assert n >= 3
+    cap = first_gap_cap + (n - 2) * gap_cap + eps_r + eps_r / fixtrig.ORACLE_SLACK_DIVISOR
+    _reference_at(monkeypatch, trace.result, cap, sign)
+    assert traced(TIE_X, TIE_EPS) == trace
+    _reference_at(monkeypatch, trace.result, cap + BEYOND, sign)
+    assert untraced(TIE_X, TIE_EPS) == trace.result  # headline holds
+    with pytest.raises(BoundViolation) as info:
+        traced(TIE_X, TIE_EPS)
     assert info.value.bound == "closing-chain"
 
 
