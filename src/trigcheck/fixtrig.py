@@ -7,17 +7,18 @@ and `_run` only checks its heads. The stop counter is scaled by integer grid
 values only, which the datatype keeps exact, so at every head it equals
 (2k+s)! * eps, the exact loop's counter taken from its definition, and both
 loops stop at the same count. Both counter clauses compare integer numerators
-over the grid's denominator fmt.k. `paired_trace_cos`/`paired_trace_sin` run
-the fix-point loop in lockstep with the exact one, whose terms and sums come
-from `oracle._scaled_heads`, and check each term gap where it is made,
-cross-multiplied into a comparison of integers. With q = (1+step)/2 and
-c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
+over the grid's denominator fmt.k. Every run walks the fix-point loop in
+lockstep with the exact one, whose terms and sums come from `oracle._scaled_heads`,
+and checks each term gap where it is made: the gap is an integer pair (numerator,
+denominator), cross-multiplied into a comparison of integers. With q = (1+step)/2
+and c = (3/4)*step, the first gap is at most c, a half step's gap at most q times
 the gap before it plus c, and the next gap at most q times that plus c. So each
 gap is at most q^2 times the previous one plus (q+1)*c and stays below
 (3/2)*step/(1-step)*(1 - q^(2k-1)); these two follow and are not checked.
 The closing checks, headline and closing-chain, cross-multiply the result's grid
 numerator with the reference's integers too, so a passing run applies no Fraction
-operator: it builds Fractions from integers only for its records and its result.
+operator. `paired_trace_cos`/`paired_trace_sin` run the same checks; a trace only
+keeps one record per term, whose Fractions, like the result's, are built from integers.
 """
 
 from __future__ import annotations
@@ -131,8 +132,8 @@ def sin_term_count(eps: Fraction) -> int:
 
 
 def cos_fixpoint(x: FixNum, eps: FixNum) -> FixAlgoResult:
-    """Fix-point cosine for |x| <= 1; the returned value is certified at runtime
-    to sit within error_bound(n, step, eps) of the exact-series reference."""
+    """Fix-point cosine for |x| <= 1, certified at runtime within error_bound(n, step,
+    eps) of the exact-series reference after each gap check of paired_trace_cos."""
     return _run(x, eps, odd=False, with_trace=False).result
 
 
@@ -142,11 +143,10 @@ def sin_fixpoint(x: FixNum, eps: FixNum) -> FixAlgoResult:
 
 
 def paired_trace_cos(x: FixNum, eps: FixNum) -> PairedTrace:
-    """Run the exact and fix-point cosine loops in lockstep.
-
-    One TraceRecord per accumulated term (iterations 1 .. n-1); each gap is
-    checked as it is made, and a failure raises BoundViolation rather than
-    returning a trace that looks healthy.
+    """cos_fixpoint's run, with the exact and fix-point loops in lockstep, keeping
+    one TraceRecord per accumulated term (iterations 1 .. n-1). Each gap is
+    checked as it is made, on every run, and a failure raises BoundViolation
+    rather than returning a trace that looks healthy.
     """
     return _run(x, eps, odd=False, with_trace=True)
 
@@ -156,10 +156,10 @@ def paired_trace_sin(x: FixNum, eps: FixNum) -> PairedTrace:
     return _run(x, eps, odd=True, with_trace=True)
 
 
-def _past_cap(gap: Fraction, prev: Fraction | int, k: int) -> bool:
-    """|gap| > q*|prev| + c, cross-multiplied, for q = (k+1)/(2k) and c = 3/(4k) on step 1/k."""
-    return 4 * k * abs(gap.numerator) * prev.denominator > (
-        2 * (k + 1) * abs(prev.numerator) + 3 * prev.denominator) * gap.denominator
+def _past_cap(gap: tuple[int, int], prev: tuple[int, int], k: int) -> bool:
+    """|gap| > q*|prev| + c, cross-multiplied, for q = (k+1)/(2k) and c = 3/(4k) on step 1/k;
+    each gap is an integer pair (numerator, positive denominator)."""
+    return 4 * k * abs(gap[0]) * prev[1] > (2 * (k + 1) * abs(prev[0]) + 3 * prev[1]) * gap[1]
 
 
 def _fix_heads(x: FixNum, eps: FixNum, odd: bool) -> Iterator[tuple]:
@@ -214,24 +214,24 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     shift = 1 if odd else 0
     one = fmt.from_int(1)
 
-    # exact twin: its counter (-1)^k * fact_eps_m steps is the definition itself; its
-    # term tn/d (from the oracle's loop heads, signed so the gap is a plain
-    # difference) and sum only feed the trace, whose gaps are checked where made
-    if with_trace:
-        heads = _scaled_heads(x_r, odd)
-        p, q = x_r.numerator, x_r.denominator
-        # no gap-step check: half-gap at k-1 and half-gap-step at k compose into it
-        # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
+    # exact twin, walked on every run: its counter (-1)^k * fact_eps_m steps is the
+    # definition itself; its term tn/d (from the oracle's loop heads, signed so the gap
+    # is a plain difference) and sum feed the gaps, integer pairs checked where made
+    heads = _scaled_heads(x_r, odd)
+    p, q = x_r.numerator, x_r.denominator
+    # no gap-step check: half-gap at k-1 and half-gap-step at k compose into it
+    # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
 
     records: list[TraceRecord] = []
     for k, epfp, tcfp, accfp, tcfp_half in _fix_heads(x, eps, odd):
-        if with_trace and k > 1:
+        if k > 1:
             half_d = d * q * (2 * k + shift - 1)  # the exact half step is tn*p/half_d
-            half_gap = Fraction(tcfp_half.m * half_d - tn * p * fmt.k, fmt.k * half_d)
+            half_gap = (tcfp_half.m * half_d - tn * p * fmt.k, fmt.k * half_d)
             if _past_cap(half_gap, gap, fmt.k):
                 raise BoundViolation("half-gap", k=k - 1)
-            records.append(TraceRecord(*head, Fraction(tn * p, half_d), tcfp_half.to_rat(),
-                                       half_gap))
+            if with_trace:
+                records.append(TraceRecord(*head, Fraction(tn * p, half_d),
+                                           tcfp_half.to_rat(), Fraction(*half_gap)))
         fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
         _invariant(epfp.m == fact_eps_m, name,
                    "counter stays an exact factorial multiple of eps")
@@ -240,18 +240,18 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         _invariant(guard == (fact_eps_m < fmt.k), name, "loop guards agree (lockstep)")
         if not guard:
             break
+        _, sign, t, a, d, _ = next(heads)
+        tn = t if sign > 0 else -t
+        gap = (tcfp.m * d - tn * fmt.k, fmt.k * d)
+        if k == 1 and _past_cap(gap, (0, 1), fmt.k):
+            raise BoundViolation("first-gap", k=1, detail=f"{Fraction(*gap)}")
+        if k > 1 and _past_cap(gap, half_gap, fmt.k):
+            raise BoundViolation("half-gap-step", k=k)
         if with_trace:
-            _, sign, t, a, d, _ = next(heads)
-            tn = t if sign > 0 else -t
-            gap = Fraction(tcfp.m * d - tn * fmt.k, fmt.k * d)
-            if k == 1 and _past_cap(gap, 0, fmt.k):
-                raise BoundViolation("first-gap", k=1, detail=f"{gap}")
-            if k > 1 and _past_cap(gap, half_gap, fmt.k):
-                raise BoundViolation("half-gap-step", k=k)
             # delta_bound = (3/2)*step/(1-step) * (1 - q^j), q = (1+step)/2, j = 2k-1
-            qd = (2 * fmt.k) ** (2 * k - 1)
-            head = (k, Fraction(tn, d), Fraction(a, d), tcfp.to_rat(), accfp.to_rat(), gap,
-                    Fraction(3 * (qd - (fmt.k + 1) ** (2 * k - 1)), 2 * (fmt.k - 1) * qd),
+            qd, qn = (2 * fmt.k) ** (2 * k - 1), (fmt.k + 1) ** (2 * k - 1)
+            head = (k, Fraction(tn, d), Fraction(a, d), tcfp.to_rat(), accfp.to_rat(),
+                    Fraction(*gap), Fraction(3 * (qd - qn), 2 * (fmt.k - 1) * qd),
                     Fraction(sign * fact_eps_m, fmt.k), epfp.to_rat())
 
     n = k
@@ -267,16 +267,15 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         raise BoundViolation("headline", detail=(
             f"{name}: observed {to_decimal(observed, 12)} > cap "
             f"{to_decimal(bound + slack, 12)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
-    if with_trace:
-        if len(records) != n - 1:
-            raise InvariantViolation(
-                f"trace holds {len(records)} records, expected n-1 = {n - 1}")
-        # chain + slack = 3/(4k) + (n-2)*3/(2(k-1)) + eps + eps/div, over 4*div*k*(k-1)
-        chain = div * (3 * (fmt.k - 1) + 6 * fmt.k * (n - 2)) + 4 * (fmt.k - 1) * (div + 1) * eps.m
-        if n >= 2 and 4 * div * (fmt.k - 1) * miss > chain * rd:
-            raise BoundViolation("closing-chain", detail=(
-                f"observed {to_decimal(Fraction(miss, fmt.k * rd), 12)} > "
-                f"{to_decimal(Fraction(chain, 4 * div * fmt.k * (fmt.k - 1)), 12)}"))
+    if with_trace and len(records) != n - 1:
+        raise InvariantViolation(
+            f"trace holds {len(records)} records, expected n-1 = {n - 1}")
+    # chain + slack = 3/(4k) + (n-2)*3/(2(k-1)) + eps + eps/div, over 4*div*k*(k-1)
+    chain = div * (3 * (fmt.k - 1) + 6 * fmt.k * (n - 2)) + 4 * (fmt.k - 1) * (div + 1) * eps.m
+    if n >= 2 and 4 * div * (fmt.k - 1) * miss > chain * rd:
+        raise BoundViolation("closing-chain", detail=(
+            f"observed {to_decimal(Fraction(miss, fmt.k * rd), 12)} > "
+            f"{to_decimal(Fraction(chain, 4 * div * fmt.k * (fmt.k - 1)), 12)}"))
     return PairedTrace(records, FixAlgoResult(accfp, n, bound))
 
 

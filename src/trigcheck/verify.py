@@ -145,8 +145,8 @@ def _grid_runs(report: SuiteReport, runners, samples: int, seed: int):
 
 
 def bounds(samples: int = 50, seed: int = 0) -> SuiteReport:
-    """Fix-point runs, each checking its own headline error cap, and a
-    brute-force check of their minimal term counts over the format grid."""
+    """Fix-point runs, each checking every term gap and its closing error caps,
+    and a brute-force check of their minimal term counts over the format grid."""
     report = SuiteReport("bounds", seed, samples)
     runners = (fixtrig.cos_fixpoint, fixtrig.sin_fixpoint)
     for _, eps_r, odd, tag, res in _grid_runs(report, runners, samples, seed):
@@ -155,7 +155,7 @@ def bounds(samples: int = 50, seed: int = 0) -> SuiteReport:
 
 
 def appendix(samples: int = 50, seed: int = 0) -> SuiteReport:
-    """Paired traces over the format grid; the tracer raises on any gap-bound
+    """Paired traces over the format grid; a run raises on any gap-bound
     failure, so a clean run means every per-iteration inequality held.
     gap-cap re-checks on its own the cap that those inequalities imply."""
     report = SuiteReport("appendix", seed, samples)

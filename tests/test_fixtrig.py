@@ -326,20 +326,17 @@ def _gap_caps(fmt: FixFormat) -> tuple[Fraction, Fraction, Fraction]:
 
 
 def test_gap_checker_detects_violations(monkeypatch):
-    # a gap fault raises as the gap is made, so before a wrong reference reaches headline
+    # a gap fault raises as the gap is made, so before a wrong reference reaches
+    # headline, on an untraced run as on a traced one
     _, _, gap_cap = _gap_caps(K65536)
     x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
     monkeypatch.setattr(fixtrig, "_scaled_heads", _perturbed_heads(1, gap_cap + K65536.step))
     monkeypatch.setattr(fixtrig, "cos_unbounded", lambda x, eps: oracle.cos_unbounded(x, eps) + 1)
     monkeypatch.setattr(fixtrig, "sin_unbounded", lambda x, eps: oracle.sin_unbounded(x, eps) + 1)
-    for traced, untraced in ((paired_trace_cos, cos_fixpoint),
-                             (paired_trace_sin, sin_fixpoint)):
+    for run in (paired_trace_cos, cos_fixpoint, paired_trace_sin, sin_fixpoint):
         with pytest.raises(BoundViolation) as info:
-            traced(x, eps)
+            run(x, eps)
         assert (info.value.bound, info.value.k) == ("first-gap", 1)
-        with pytest.raises(BoundViolation) as info:
-            untraced(x, eps)  # untraced runs never consult the heads
-        assert info.value.bound == "headline"
 
 
 def test_gap_past_the_cap_is_caught_by_the_chain_check():
@@ -379,7 +376,8 @@ def test_deleted_gap_checks_hold_on_real_traces(fmt_text, run, data):
 
 
 def test_closing_chain_is_live(monkeypatch):
-    # an error past the chain but within the headline cap: only closing-chain fires
+    # an error past the chain but within the headline cap: only closing-chain fires,
+    # on an untraced run as on a traced one
     _, first_gap_cap, gap_cap = _gap_caps(K65536)
     x, eps = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
     result = cos_fixpoint(x, eps)
@@ -390,10 +388,10 @@ def test_closing_chain_is_live(monkeypatch):
     observed = (chain + result.a_priori_bound) / 2 + slack
     monkeypatch.setattr(fixtrig, "cos_unbounded",
                         lambda x, eps: result.value.to_rat() - observed)
-    assert cos_fixpoint(x, eps).value == result.value      # headline holds
-    with pytest.raises(BoundViolation) as info:
-        paired_trace_cos(x, eps)
-    assert info.value.bound == "closing-chain"
+    for run in (cos_fixpoint, paired_trace_cos):
+        with pytest.raises(BoundViolation) as info:
+            run(x, eps)
+        assert info.value.bound == "closing-chain"  # headline, checked first, holds
 
 
 TIE_X, TIE_EPS = K65536.exact(Fraction(3, 4)), K65536.exact(Fraction(1, 4096))
@@ -407,16 +405,24 @@ def _reference_at(monkeypatch, result, observed: Fraction, sign: int) -> None:
     monkeypatch.setattr(fixtrig, "sin_unbounded", lambda x, eps: reference)
 
 
+def _headline_cap(result, eps: FixNum) -> Fraction:
+    return result.a_priori_bound + eps.to_rat() / fixtrig.ORACLE_SLACK_DIVISOR
+
+
 @pytest.mark.parametrize("sign", [1, -1])
-@pytest.mark.parametrize("run", [cos_fixpoint, sin_fixpoint])
-def test_headline_is_strict_at_an_exact_tie(run, sign, monkeypatch):
+@pytest.mark.parametrize("run,one_term_eps", [(cos_fixpoint, Fraction(1, 2)),
+                                              (sin_fixpoint, Fraction(1, 4))],
+                         ids=["cos_fixpoint", "sin_fixpoint"])
+def test_headline_is_strict_at_an_exact_tie(run, one_term_eps, sign, monkeypatch):
     # an error exactly on a_priori_bound + slack passes and one 2^-200 past it
-    # raises, so the cross-multiplied check compares with > and keeps the slack
-    result = run(TIE_X, TIE_EPS)
-    cap = result.a_priori_bound + TIE_EPS.to_rat() / fixtrig.ORACLE_SLACK_DIVISOR
-    _reference_at(monkeypatch, result, cap, sign)
-    assert run(TIE_X, TIE_EPS) == result
-    _reference_at(monkeypatch, result, cap + BEYOND, sign)
+    # raises, so the cross-multiplied check compares with > and keeps the slack;
+    # the tie is taken at n = 1, as closing-chain, whose cap lies below, runs from n = 2
+    eps = K65536.exact(one_term_eps)
+    tied, past = run(TIE_X, eps), run(TIE_X, TIE_EPS)
+    assert tied.n == 1 and past.n >= 3
+    _reference_at(monkeypatch, tied, _headline_cap(tied, eps), sign)
+    assert run(TIE_X, eps) == tied
+    _reference_at(monkeypatch, past, _headline_cap(past, TIE_EPS) + BEYOND, sign)
     with pytest.raises(BoundViolation) as info:
         run(TIE_X, TIE_EPS)
     assert info.value.bound == "headline"
@@ -427,7 +433,7 @@ def test_headline_is_strict_at_an_exact_tie(run, sign, monkeypatch):
                                              (paired_trace_sin, sin_fixpoint)])
 def test_closing_chain_is_strict_at_an_exact_tie(traced, untraced, sign, monkeypatch):
     # the same at chain + slack, which lies below the headline cap: past it only
-    # closing-chain fires
+    # closing-chain fires, on an untraced run as on a traced one
     _, first_gap_cap, gap_cap = _gap_caps(K65536)
     trace = traced(TIE_X, TIE_EPS)
     eps_r, n = TIE_EPS.to_rat(), trace.result.n
@@ -435,11 +441,12 @@ def test_closing_chain_is_strict_at_an_exact_tie(traced, untraced, sign, monkeyp
     cap = first_gap_cap + (n - 2) * gap_cap + eps_r + eps_r / fixtrig.ORACLE_SLACK_DIVISOR
     _reference_at(monkeypatch, trace.result, cap, sign)
     assert traced(TIE_X, TIE_EPS) == trace
+    assert untraced(TIE_X, TIE_EPS) == trace.result
     _reference_at(monkeypatch, trace.result, cap + BEYOND, sign)
-    assert untraced(TIE_X, TIE_EPS) == trace.result  # headline holds
-    with pytest.raises(BoundViolation) as info:
-        traced(TIE_X, TIE_EPS)
-    assert info.value.bound == "closing-chain"
+    for run in (untraced, traced):
+        with pytest.raises(BoundViolation) as info:
+            run(TIE_X, TIE_EPS)
+        assert info.value.bound == "closing-chain"  # headline, checked first, holds
 
 
 def _divide_by_one_less(monkeypatch, divisor: int) -> None:
@@ -579,3 +586,40 @@ def test_trace_count_check_is_live(monkeypatch):
     for run, n in ((paired_trace_cos, 4), (paired_trace_sin, 3)):
         assert _first_invariant(run, fmt, Fraction(0), Fraction(1, 4096)) == (
             f"trace holds {n} records, expected n-1 = {n - 1}")
+
+
+SWEEP_FORMATS = [FixFormat.parse(text) for text in (
+    "1/256:[-8,64]", "1/65536:[-8,64]", "1/1000000:[-8,64]", "1/65536:[-8,1024]",
+    "1/1099511627776:[-8,1024]")]
+
+
+def _run_outcome(run, x, eps):
+    """The result, or the exception's type, message, bound name, head and iteration."""
+    try:
+        return run(x, eps)
+    except (ArithmeticError, ValueError, BoundViolation, InvariantViolation) as exc:
+        return (type(exc), str(exc), getattr(exc, "bound", None), getattr(exc, "k", None),
+                getattr(exc, "iteration", None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fmt=st.sampled_from(SWEEP_FORMATS), odd=st.booleans(),
+       fault=st.sampled_from([None, "heads", "division"]), data=st.data())
+def test_untraced_run_is_the_traced_result(fmt, odd, fault, data):
+    # one path: an untraced run checks every gap a trace checks, at the same head,
+    # and returns the trace's result or raises what the trace raises
+    untraced, traced = (sin_fixpoint, paired_trace_sin) if odd else (cos_fixpoint, paired_trace_cos)
+    x = FixNum(data.draw(st.integers(-fmt.k, fmt.k)), fmt)
+    eps = FixNum(data.draw(st.integers(1, fmt.k - 1)
+                           | st.integers(1, 30).map(lambda s: max(1, fmt.k >> s))), fmt)
+    with pytest.MonkeyPatch.context() as mp:
+        if fault == "heads":  # an exact term off by a multiple of half a step
+            at, by = data.draw(st.integers(1, 5)), data.draw(st.integers(-4, 4)) * fmt.step / 2
+            mp.setattr(fixtrig, "_scaled_heads", _perturbed_heads(at, by))
+        if fault == "division":  # one factor x/fac off by a few steps, or by up to 40
+            units = data.draw(st.integers(-6, 6) | st.integers(-40, 40).map(lambda u: u * fmt.k))
+            x = _shifted_half_step(x, data.draw(st.integers(2, 9)), units)
+        expected = _run_outcome(traced, x, eps)
+        if isinstance(expected, fixtrig.PairedTrace):
+            expected = expected.result
+        assert _run_outcome(untraced, x, eps) == expected

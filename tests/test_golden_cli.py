@@ -17,6 +17,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -94,6 +95,9 @@ CASES = {
                                      "--x", "1"], None, None),
     "exit3-headline": (["fixcos", "--format", UNIT, "--eps", "1/4", "--x", "1/2"],
                        None, "reference-plus-one"),
+    # an untraced run walks the exact twin too, so a wrong exact term exits 3 here
+    "exit3-first-gap": (["fixcos", "--format", FINE, "--x", "3/4", "--eps", "1/4096"],
+                        None, "head-1-past-first-gap"),
     # an output file in a directory that does not exist: one line, exit 1
     "exit1-fixcos-trace-missing-dir": (["fixcos", "--format", UNIT, "--eps", "1/4",
                                         "--x", "1/2", "--trace", "missing/t.csv"],
@@ -118,6 +122,17 @@ def _apply_fault(fault: str | None, patch) -> None:
         # every real input passes the headline check, so exit 3 needs a
         # wrong reference value
         patch(fixtrig, "cos_unbounded", lambda x, eps: oracle.cos_unbounded(x, eps) + 1)
+        return
+    if fault == "head-1-past-first-gap":
+        # head 1's exact term t/d moved by A/B, the 1/65536 grid's gap cap 3/(2*65535)
+        # plus a step, which puts it past the first-gap cap 3/(4*65536)
+        a, b = (Fraction(3, 2 * 65535) + Fraction(1, 65536)).as_integer_ratio()
+
+        def heads(x, odd):
+            for n, sign, t, acc, d, fact in oracle._scaled_heads(x, odd):
+                yield ((n, sign, t * b + a * d, acc * b, d * b, fact) if n == 1
+                       else (n, sign, t, acc, d, fact))
+        patch(fixtrig, "_scaled_heads", heads)
         return
     raise ValueError(f"unknown fault {fault!r}")
 

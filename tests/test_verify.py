@@ -1,11 +1,12 @@
-"""The bounds suite computes no reference of its own, and each grid run counts
-as one check, its own verdict, in both grid suites."""
+"""The bounds suite computes no reference of its own, its runs check every term
+gap, and each grid run counts as one check, its own verdict, in both grid suites."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from test_fixtrig import _perturbed_heads
 
 from trigcheck import fixtrig, oracle, verify
 from trigcheck.errors import InvariantViolation
@@ -74,4 +75,14 @@ def test_a_wrong_reference_fails_every_cosine_run_on_headline(suite, monkeypatch
         "cos fmt=1/256:[-8,64] x=69/128 eps=1/4 seed=0: bound 'headline' violated: "
         "cos_fixpoint: observed 0.336054713921 > cap 0.262014705882 for x=69/128 eps=1/4")
     assert all(label.startswith("cos fmt=") and ": bound 'headline' violated: " in label
+               for label in report.failures)
+
+
+def test_bounds_runs_check_every_gap(monkeypatch):
+    # head 1's exact term moved by 1/8: the 15 runs with n >= 2 fail first-gap, though
+    # bounds runs keep no trace; the 3 sin runs at eps = 1/4 stop at n = 1, before any gap
+    monkeypatch.setattr(fixtrig, "_scaled_heads", _perturbed_heads(1, Fraction(1, 8)))
+    report = verify.bounds(samples=1, seed=0)
+    assert (report.checks, len(report.failures)) == (21, 15)
+    assert all(": bound 'first-gap' violated at iteration 1: " in label
                for label in report.failures)
