@@ -33,6 +33,7 @@ from trigcheck.errors import (
     InvariantViolation,
     PreconditionViolation,
     RangeOverflow,
+    VerificationFailure,
 )
 from trigcheck.fixtrig import TRACE_CSV_HEADER, trace_to_csv, trace_to_json_obj
 from trigcheck.verify import GRID_FORMATS
@@ -597,7 +598,7 @@ def _run_outcome(run, x, eps):
     """The result, or the exception's type, message, bound name, head and iteration."""
     try:
         return run(x, eps)
-    except (ArithmeticError, ValueError, BoundViolation, InvariantViolation) as exc:
+    except (ArithmeticError, ValueError, VerificationFailure) as exc:
         return (type(exc), str(exc), getattr(exc, "bound", None), getattr(exc, "k", None),
                 getattr(exc, "iteration", None))
 
