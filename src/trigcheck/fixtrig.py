@@ -18,7 +18,8 @@ gap is at most q^2 times the previous one plus (q+1)*c and stays below
 The closing checks, headline and closing-chain, cross-multiply the result's grid
 numerator with the reference's integers too, so a passing run applies no Fraction
 operator. `paired_trace_cos`/`paired_trace_sin` run the same checks; a trace only
-keeps one record per term, whose Fractions, like the result's, are built from integers.
+keeps one record per term, which holds the run's integers and builds each of its
+Fraction fields when that field is read.
 """
 
 from __future__ import annotations
@@ -62,16 +63,43 @@ class FixAlgoResult(Value):
 
 
 class TraceRecord(Value):
-    """Synchronized snapshot of both loops just before guard check k (Fractions).
+    """Synchronized snapshot of both loops just before guard check k.
 
+    A record keeps the run's integers: numerators over the grid's denominator
+    (`_k`, fmt.k), over the exact term's d = q^m*m! (`_d`) and over the half
+    step's `_half_d`, and the two gaps' numerators over `_k` times those. Each
+    field below is a Fraction built from them when it is read.
     `delta` is the fix-point term minus the exact (signed) term;
     `delta_bound` is the cumulative propagation cap for this iteration.
     `tc_half`, `tcfp_half` and `delta_half` are the exact term, the fix-point
     term and their gap in the next step, after its first factor x/(2k+s+1) only.
     """
 
-    __slots__ = ("k", "tc_exact", "cs_exact", "tcfp", "csfp", "delta", "delta_bound",
-                 "ep_exact", "epfp", "tc_half", "tcfp_half", "delta_half")
+    __slots__ = ("k", "_k", "_d", "_tc", "_cs", "_tcfp", "_csfp", "_delta", "_ep", "_epfp",
+                 "_half_d", "_tc_half", "_tcfp_half", "_delta_half")
+    _fields = ("k", "tc_exact", "cs_exact", "tcfp", "csfp", "delta", "delta_bound",
+               "ep_exact", "epfp", "tc_half", "tcfp_half", "delta_half")
+
+    tc_exact = property(lambda r: Fraction(r._tc, r._d))
+    cs_exact = property(lambda r: Fraction(r._cs, r._d))
+    tcfp = property(lambda r: Fraction(r._tcfp, r._k))
+    csfp = property(lambda r: Fraction(r._csfp, r._k))
+    delta = property(lambda r: Fraction(r._delta, r._k * r._d))
+    ep_exact = property(lambda r: Fraction(r._ep, r._k))
+    epfp = property(lambda r: Fraction(r._epfp, r._k))
+    tc_half = property(lambda r: Fraction(r._tc_half, r._half_d))
+    tcfp_half = property(lambda r: Fraction(r._tcfp_half, r._k))
+    delta_half = property(lambda r: Fraction(r._delta_half, r._k * r._half_d))
+
+    @property
+    def delta_bound(self) -> Fraction:
+        """(3/2)*step/(1-step) * (1 - q^j) for q = (1+step)/2 and j = 2k-1."""
+        j = 2 * self.k - 1
+        qd = (2 * self._k) ** j
+        return Fraction(3 * (qd - (self._k + 1) ** j), 2 * (self._k - 1) * qd)
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def as_dict(self) -> dict:
         return {
@@ -230,8 +258,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             if _past_cap(half_gap, gap, fmt.k):
                 raise BoundViolation("half-gap", k=k - 1)
             if with_trace:
-                records.append(TraceRecord(*head, Fraction(tn * p, half_d),
-                                           tcfp_half.to_rat(), Fraction(*half_gap)))
+                records.append(TraceRecord(*head, half_d, tn * p, tcfp_half.m, half_gap[0]))
         fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
         _invariant(epfp.m == fact_eps_m, name,
                    "counter stays an exact factorial multiple of eps")
@@ -248,11 +275,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         if k > 1 and _past_cap(gap, half_gap, fmt.k):
             raise BoundViolation("half-gap-step", k=k)
         if with_trace:
-            # delta_bound = (3/2)*step/(1-step) * (1 - q^j), q = (1+step)/2, j = 2k-1
-            qd, qn = (2 * fmt.k) ** (2 * k - 1), (fmt.k + 1) ** (2 * k - 1)
-            head = (k, Fraction(tn, d), Fraction(a, d), tcfp.to_rat(), accfp.to_rat(),
-                    Fraction(*gap), Fraction(3 * (qd - qn), 2 * (fmt.k - 1) * qd),
-                    Fraction(sign * fact_eps_m, fmt.k), epfp.to_rat())
+            head = (k, fmt.k, d, tn, a, tcfp.m, accfp.m, gap[0], sign * fact_eps_m, epfp.m)
 
     n = k
     _invariant(n == n_goal, name, "final n equals the minimal stop count")
@@ -287,8 +310,9 @@ def trace_to_csv(records: list[TraceRecord]) -> str:
     """Render records as CSV. No field needs quoting: each is k or a p/q rational."""
     lines = [",".join(TRACE_CSV_HEADER)]
     for rec in records:
-        row = rec.as_dict()
-        lines.append(",".join(str(row[column]) for column in TRACE_CSV_HEADER))
+        fields = (rec.tc_exact, rec.cs_exact, rec.tcfp, rec.csfp, rec.delta,
+                  rec.delta_bound, rec.ep_exact, rec.epfp)
+        lines.append(",".join([str(rec.k), *map(rat_str, fields)]))
     return "\n".join(lines) + "\n"
 
 

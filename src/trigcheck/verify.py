@@ -162,8 +162,8 @@ def appendix(samples: int = 50, seed: int = 0) -> SuiteReport:
     runners = (fixtrig.paired_trace_cos, fixtrig.paired_trace_sin)
     for fmt, _, _, tag, trace in _grid_runs(report, runners, samples, seed):
         # |delta| <= (3/2)*step/(1-step) = 3/(2(k-1)), cross-multiplied
-        report.add(all(2 * (fmt.k - 1) * abs(r.delta.numerator) <= 3 * r.delta.denominator
-                       for r in trace.records), f"gap-cap {tag}")
+        gaps = (r.delta.as_integer_ratio() for r in trace.records)
+        report.add(all(2 * (fmt.k - 1) * abs(n) <= 3 * d for n, d in gaps), f"gap-cap {tag}")
     return report
 
 

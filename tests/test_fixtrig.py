@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -278,6 +280,46 @@ def test_trace_csv_of_a_one_term_run_is_the_header():
     assert trace.result.n == 1
     header = "k,tc,cs,tcfp,csfp,delta,delta_bound,ep,epfp\n"
     assert trace_to_csv(trace.records) == _csv_module_trace(trace.records) == header
+
+
+K2_40 = FixFormat.parse("1/1099511627776:[-8,1024]")
+
+
+def _fractions_built(run, x: FixNum, eps: FixNum) -> int:
+    """How many times run(x, eps) calls Fraction.__new__."""
+    calls = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(cls)
+        return new(cls, *args, **kwargs)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Fraction, "__new__", staticmethod(counting))
+        run(x, eps)
+    return len(calls)
+
+
+@pytest.mark.parametrize("traced,untraced", [(paired_trace_cos, cos_fixpoint),
+                                             (paired_trace_sin, sin_fixpoint)])
+@pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 1000), Fraction(1, 10**8),
+                                 Fraction(1, 2**30)])
+def test_a_trace_builds_no_fraction_for_its_records(traced, untraced, eps):
+    # n runs from 1 to 7 over these eps; a record keeps the run's integers, so a
+    # traced run builds as many Fractions as the untraced one, whatever n is
+    x, eps = K2_40.from_rat(Fraction(3, 4)), K2_40.from_rat(eps)
+    assert _fractions_built(traced, x, eps) == _fractions_built(untraced, x, eps)
+
+
+def test_trace_records_hold_ints_and_build_fractions_on_read():
+    trace = paired_trace_sin(K2_40.from_rat(Fraction(3, 4)), K2_40.from_rat(Fraction(1, 2**30)))
+    assert len(trace.records) == 5
+    for rec in trace.records:
+        views = tuple(getattr(rec, name) for name in rec._fields)
+        assert all(type(view) is Fraction for view in views[1:])
+        for twin in (rec, pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec)):
+            assert all(type(getattr(twin, name)) is int for name in type(twin).__slots__)
+            assert tuple(getattr(twin, name) for name in twin._fields) == views
+            assert repr(twin) == repr(rec) and twin == rec
 
 
 def test_fix_result_serialization():
