@@ -13,7 +13,7 @@ import sys
 
 from . import fixtrig, floatrepro, oracle, verify
 from .errors import IterationCapExceeded, VerificationFailure
-from .exact import parse_rational, rat_str, to_decimal
+from .exact import DECIMALS, parse_rational, rat_str, to_decimal
 from .fixpoint import FixFormat
 
 EXIT_OK = 0
@@ -156,7 +156,7 @@ def _run_oracle(args) -> int:
     elif args.unbounded:
         fn = oracle.cos_unbounded if cos else oracle.sin_unbounded
         value = fn(args.x, args.eps)
-        payload = {"value": rat_str(value), "decimal": to_decimal(value, 12)}
+        payload = {"value": rat_str(value), "decimal": to_decimal(value, DECIMALS)}
     elif args.zerone:
         fn = oracle.cos_zerone if cos else oracle.sin_zerone
         payload = fn(args.x, args.eps).as_dict()
@@ -167,32 +167,35 @@ def _run_oracle(args) -> int:
     return EXIT_OK
 
 
+def _write(path: str, text: str) -> None:
+    """Write an output file in UTF-8, with no newline translation on any platform."""
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
+
+
 def _run_fixpoint(args) -> int:
     fmt: FixFormat = args.format
     x = fmt.exact(args.x)
     eps = fmt.exact(args.eps)
     cos = args.command == "fixcos"
-    if args.trace:
+    if args.trace is not None:
         trace = (fixtrig.paired_trace_cos if cos else fixtrig.paired_trace_sin)(x, eps)
         result = trace.result
         text = (json.dumps(fixtrig.trace_to_json_obj(trace.records), sort_keys=True, indent=2)
                 if args.trace.endswith(".json") else fixtrig.trace_to_csv(trace.records))
-        with open(args.trace, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        _write(args.trace, text)
     else:
         result = (fixtrig.cos_fixpoint if cos else fixtrig.sin_fixpoint)(x, eps)
     _emit(result.as_dict(), args.json)
-    if args.trace and not args.json:
+    if args.trace is not None and not args.json:
         print(f"trace = {len(trace.records)} records -> {args.trace}")
     return EXIT_OK
 
 
 def _run_scan(args) -> int:
     rows = floatrepro.scan_table(args.min, args.max, args.step, args.eps, cap=args.cap)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as handle:
-            handle.write("x,value\n")
-            handle.writelines(f"{x:e},{value:e}\n" for x, value in rows)
+    if args.csv is not None:
+        _write(args.csv, "x,value\n" + "".join(f"{x:e},{value:e}\n" for x, value in rows))
     print("\n".join(f"{x:e}  {value:e}" for x, value in rows))
     return EXIT_OK
 

@@ -16,6 +16,8 @@ from __future__ import annotations
 from decimal import Decimal
 from fractions import Fraction
 
+DECIMALS = 12  # fractional digits of every printed decimal but `golden --digits`
+
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a decimal literal read exactly ("0.05" is 1/20)."""
@@ -34,15 +36,10 @@ def to_decimal(value: Fraction | int, digits: int) -> str:
     """
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    value = Fraction(value)
-    scaled = value * 10**digits
-    p, q = scaled.numerator, scaled.denominator
-    if p >= 0:
-        units = (2 * p + q) // (2 * q)
-    else:
-        units = -((-2 * p + q) // (2 * q))
-    sign = "-" if units < 0 else ""
-    text = str(Decimal(abs(units)))
+    p, q = value.as_integer_ratio()
+    units = (2 * abs(p) * 10**digits + q) // (2 * q)
+    sign = "-" if p < 0 and units else ""
+    text = str(Decimal(units))
     if digits == 0:
         return sign + text
     text = text.rjust(digits + 1, "0")

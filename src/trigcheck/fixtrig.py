@@ -38,7 +38,7 @@ from .errors import (
     RangeOverflow,
     _invariant,
 )
-from .exact import rat_str, to_decimal
+from .exact import DECIMALS, rat_str, to_decimal
 from .fixpoint import FixNum
 from .oracle import _scaled_heads, cos_unbounded, sin_unbounded
 from .value import Value
@@ -51,15 +51,23 @@ class FixAlgoResult(Value):
 
     __slots__ = ("value", "n", "a_priori_bound")
 
-    def as_dict(self, digits: int = 12) -> dict:
+    def as_dict(self) -> dict:
+        exact = self.value.to_rat()
         return {
             "value": str(self.value),
-            "value_exact": rat_str(self.value.to_rat()),
-            "decimal": to_decimal(self.value.to_rat(), digits),
+            "value_exact": rat_str(exact),
+            "decimal": to_decimal(exact, DECIMALS),
             "n": self.n,
             "bound": rat_str(self.a_priori_bound),
             "format": str(self.value.fmt),
         }
+
+
+# (CSV column and JSON key, TraceRecord field) of each trace column, in order
+TRACE_COLUMNS = (("k", "k"), ("tc", "tc_exact"), ("cs", "cs_exact"), ("tcfp", "tcfp"),
+                 ("csfp", "csfp"), ("delta", "delta"), ("delta_bound", "delta_bound"),
+                 ("ep", "ep_exact"), ("epfp", "epfp"))
+TRACE_CSV_HEADER = [column for column, _ in TRACE_COLUMNS]
 
 
 class TraceRecord(Value):
@@ -102,22 +110,10 @@ class TraceRecord(Value):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def as_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "tc": rat_str(self.tc_exact),
-            "cs": rat_str(self.cs_exact),
-            "tcfp": rat_str(self.tcfp),
-            "csfp": rat_str(self.csfp),
-            "delta": rat_str(self.delta),
-            "delta_bound": rat_str(self.delta_bound),
-            "ep": rat_str(self.ep_exact),
-            "epfp": rat_str(self.epfp),
-            "half": {
-                "tc_half": rat_str(self.tc_half),
-                "tcfp_half": rat_str(self.tcfp_half),
-                "delta_half": rat_str(self.delta_half),
-            },
-        }
+        """The CSV row's columns (k as an int), then the half step under "half"."""
+        row = {column: rat_str(getattr(self, field)) for column, field in TRACE_COLUMNS[1:]}
+        half = {field: rat_str(getattr(self, field)) for field in self._fields[-3:]}
+        return {"k": self.k, **row, "half": half}
 
 
 class PairedTrace(Value):
@@ -253,12 +249,12 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     records: list[TraceRecord] = []
     for k, epfp, tcfp, accfp, tcfp_half in _fix_heads(x, eps, odd):
         if k > 1:
-            half_d = d * q * (2 * k + shift - 1)  # the exact half step is tn*p/half_d
-            half_gap = (tcfp_half.m * half_d - tn * p * fmt.k, fmt.k * half_d)
+            half_n, half_d = tn * p, d * q * (2 * k + shift - 1)  # exact half step half_n/half_d
+            half_gap = (tcfp_half.m * half_d - half_n * fmt.k, fmt.k * half_d)
             if _past_cap(half_gap, gap, fmt.k):
                 raise BoundViolation("half-gap", k=k - 1)
             if with_trace:
-                records.append(TraceRecord(*head, half_d, tn * p, tcfp_half.m, half_gap[0]))
+                records.append(TraceRecord(*head, half_d, half_n, tcfp_half.m, half_gap[0]))
         fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
         _invariant(epfp.m == fact_eps_m, name,
                    "counter stays an exact factorial multiple of eps")
@@ -288,8 +284,8 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     if miss * div * bd > (div * fmt.k * bn + eps.m * bd) * rd:
         observed = Fraction(miss, fmt.k * rd)
         raise BoundViolation("headline", detail=(
-            f"{name}: observed {to_decimal(observed, 12)} > cap "
-            f"{to_decimal(bound + slack, 12)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
+            f"{name}: observed {to_decimal(observed, DECIMALS)} > cap "
+            f"{to_decimal(bound + slack, DECIMALS)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
     if with_trace and len(records) != n - 1:
         raise InvariantViolation(
             f"trace holds {len(records)} records, expected n-1 = {n - 1}")
@@ -297,22 +293,16 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     chain = div * (3 * (fmt.k - 1) + 6 * fmt.k * (n - 2)) + 4 * (fmt.k - 1) * (div + 1) * eps.m
     if n >= 2 and 4 * div * (fmt.k - 1) * miss > chain * rd:
         raise BoundViolation("closing-chain", detail=(
-            f"observed {to_decimal(Fraction(miss, fmt.k * rd), 12)} > "
-            f"{to_decimal(Fraction(chain, 4 * div * fmt.k * (fmt.k - 1)), 12)}"))
+            f"observed {to_decimal(Fraction(miss, fmt.k * rd), DECIMALS)} > "
+            f"{to_decimal(Fraction(chain, 4 * div * fmt.k * (fmt.k - 1)), DECIMALS)}"))
     return PairedTrace(records, FixAlgoResult(accfp, n, bound))
-
-
-TRACE_CSV_HEADER = ["k", "tc", "cs", "tcfp", "csfp",
-                    "delta", "delta_bound", "ep", "epfp"]
 
 
 def trace_to_csv(records: list[TraceRecord]) -> str:
     """Render records as CSV. No field needs quoting: each is k or a p/q rational."""
     lines = [",".join(TRACE_CSV_HEADER)]
-    for rec in records:
-        fields = (rec.tc_exact, rec.cs_exact, rec.tcfp, rec.csfp, rec.delta,
-                  rec.delta_bound, rec.ep_exact, rec.epfp)
-        lines.append(",".join([str(rec.k), *map(rat_str, fields)]))
+    lines += [",".join(rat_str(getattr(rec, field)) for _, field in TRACE_COLUMNS)
+              for rec in records]
     return "\n".join(lines) + "\n"
 
 

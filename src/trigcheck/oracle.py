@@ -21,7 +21,7 @@ from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import ArgOutOfRange, EpsOutOfRange, NonPositiveEps, _invariant
-from .exact import rat_str, to_decimal
+from .exact import DECIMALS, rat_str, to_decimal
 from .value import Value
 
 
@@ -30,10 +30,10 @@ class AlgoResult(Value):
 
     __slots__ = ("value", "iterations", "a_priori_bound")
 
-    def as_dict(self, digits: int = 12) -> dict:
+    def as_dict(self) -> dict:
         return {
             "value": rat_str(self.value),
-            "decimal": to_decimal(self.value, digits),
+            "decimal": to_decimal(self.value, DECIMALS),
             "iterations": self.iterations,
             "bound": rat_str(self.a_priori_bound),
         }

@@ -7,10 +7,11 @@ import sys
 from fractions import Fraction
 
 import pytest
+import reference_exact
 from hypothesis import given
 from hypothesis import strategies as st
 
-from trigcheck import parse_rational, rat_str, to_decimal
+from trigcheck import cos_unbounded, parse_rational, rat_str, to_decimal
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
 
@@ -96,6 +97,43 @@ def test_to_decimal_rejects_negative_digits():
 def test_to_decimal_round_trip_bound(a, digits):
     rendered = to_decimal(a, digits)
     assert abs(parse_rational(rendered) - a) <= Fraction(5, 10 ** (digits + 1))
+
+
+digit_counts = st.integers(min_value=0, max_value=60)
+
+
+@given(st.integers(min_value=-10**80, max_value=10**80),
+       st.integers(min_value=1, max_value=10**40), digit_counts)
+def test_to_decimal_matches_the_two_branch_body(p, q, digits):
+    value = Fraction(p, q)
+    assert to_decimal(value, digits) == reference_exact.to_decimal(value, digits)
+
+
+@given(st.integers(min_value=0, max_value=10**30), st.sampled_from([-1, 1]), digit_counts)
+def test_to_decimal_matches_it_half_a_unit_from_a_boundary(units, sign, digits):
+    tie = sign * Fraction(2 * units + 1, 2 * 10**digits)  # halfway from units to units + 1
+    text = to_decimal(tie, digits)
+    assert text == reference_exact.to_decimal(tie, digits)
+    assert parse_rational(text) == sign * Fraction(units + 1, 10**digits)  # away from zero
+
+
+@given(st.integers(min_value=-10**30, max_value=10**30), digit_counts)
+def test_to_decimal_matches_it_on_ints_and_zero(n, digits):
+    for value in (n, Fraction(n), 0):
+        assert to_decimal(value, digits) == reference_exact.to_decimal(value, digits)
+
+
+@given(st.integers(min_value=1, max_value=10**20), digit_counts)
+def test_negative_values_that_round_to_zero_print_no_sign(j, digits):
+    value = -Fraction(1, 2 * 10**digits + j)  # just under half a unit below zero
+    text = to_decimal(value, digits)
+    assert text == reference_exact.to_decimal(value, digits)
+    assert set(text) <= {"0", "."}
+
+
+def test_to_decimal_matches_it_on_the_5000_digit_golden_value():
+    value = cos_unbounded(Fraction(50), Fraction(1, 10**8))
+    assert to_decimal(value, 5000) == reference_exact.to_decimal(value, 5000)
 
 
 def test_rat_str():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import csv
 import io
+import json
 import pickle
 from fractions import Fraction
 
@@ -282,6 +283,26 @@ def test_trace_csv_of_a_one_term_run_is_the_header():
     assert trace_to_csv(trace.records) == _csv_module_trace(trace.records) == header
 
 
+# the formats of perfbench's fixpoint_sweep workload
+SWEEP_FORMATS = ("1/256:[-8,64]", "1/65536:[-8,64]", "1/1000000:[-8,64]",
+                 "1/65536:[-8,1024]", "1/1099511627776:[-8,1024]")
+
+
+@pytest.mark.parametrize("fmt_text", SWEEP_FORMATS)
+@pytest.mark.parametrize("run", [paired_trace_cos, paired_trace_sin])
+def test_trace_csv_and_json_share_one_schema(fmt_text, run):
+    fmt = FixFormat.parse(fmt_text)
+    eps = FixNum(max(1, round(fmt.k / 1000)), fmt)  # the step nearest 1/1000
+    records = run(fmt.from_rat(Fraction(-7, 10)), eps).records
+    rows = list(csv.reader(io.StringIO(trace_to_csv(records))))
+    mirror = json.loads(json.dumps(trace_to_json_obj(records)))
+    assert rows[0] == TRACE_CSV_HEADER
+    assert len(records) >= 2 and len(rows) - 1 == len(mirror) == len(records)
+    for rec, row, obj in zip(records, rows[1:], mirror):
+        assert list(rec.as_dict())[:9] == TRACE_CSV_HEADER
+        assert row == [str(obj[column]) for column in TRACE_CSV_HEADER]
+
+
 K2_40 = FixFormat.parse("1/1099511627776:[-8,1024]")
 
 
@@ -324,10 +345,10 @@ def test_trace_records_hold_ints_and_build_fractions_on_read():
 
 def test_fix_result_serialization():
     result = cos_fixpoint(K256.exact(Fraction(1, 2)), K256.exact(Fraction(1, 4)))
-    payload = result.as_dict(digits=6)
+    payload = result.as_dict()
     assert payload["value"] == "224/256"
     assert payload["value_exact"] == "7/8"
-    assert payload["decimal"] == "0.875000"
+    assert payload["decimal"] == "0.875000000000"
     assert payload["n"] == 2
     assert payload["format"] == "1/256:[-8,64]"
     assert "reference" not in payload

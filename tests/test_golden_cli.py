@@ -104,6 +104,11 @@ CASES = {
                                        None, None),
     "exit1-repro-table1-csv-missing-dir": (["repro-table1", "--max", "1",
                                             "--csv", "missing/r.csv"], None, None),
+    # an empty output path is a file that cannot be opened, not a missing option
+    "exit1-fixcos-trace-empty-path": (["fixcos", "--format", UNIT, "--eps", "1/4",
+                                       "--x", "1/2", "--trace", ""], None, None),
+    "exit1-repro-table1-csv-empty-path": (["repro-table1", "--max", "1", "--csv", ""],
+                                          None, None),
     "exit1-verify-samples-zero": (["verify", "--suite", "bounds", "--samples", "0"],
                                   None, None),
     "exit1-verify-samples-not-int": (["verify", "--suite", "bounds", "--samples", "2.5"],

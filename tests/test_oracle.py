@@ -161,10 +161,10 @@ def test_unbounded_parity_is_exact():
 
 
 def test_result_serialization():
-    payload = pi_leibniz(Fraction(1, 2)).as_dict(digits=6)
+    payload = pi_leibniz(Fraction(1, 2)).as_dict()
     assert payload == {
         "value": "304/105",
-        "decimal": "2.895238",
+        "decimal": "2.895238095238",
         "iterations": 3,
         "bound": "1/2",
     }
