@@ -43,10 +43,6 @@ _rational = _argument_type(parse_rational)
 _format = _argument_type(FixFormat.parse)
 
 
-class _ConfigUnreadable(Exception):
-    """A --config read failure, apart from any other OSError while parsing."""
-
-
 class _ConfigFile(argparse.Action):
     # each key=value line becomes one --key=value token, so -1/2 is not a
     # flag; key=true becomes a bare --key, which sets a store_true flag
@@ -59,7 +55,7 @@ class _ConfigFile(argparse.Action):
                         key, _, value = (part.strip() for part in line.partition("="))
                         tokens.append(f"--{key}" if value == "true" else f"--{key}={value}")
         except (OSError, UnicodeDecodeError) as exc:
-            raise _ConfigUnreadable(exc) from None
+            parser.exit(EXIT_USAGE, f"trigcheck: cannot read config: {exc}\n")
         setattr(namespace, self.dest, tokens)
 
 
@@ -177,16 +173,13 @@ def _run_fixpoint(args) -> int:
     fmt: FixFormat = args.format
     x = fmt.exact(args.x)
     eps = fmt.exact(args.eps)
-    cos = args.command == "fixcos"
+    trace = (fixtrig.paired_trace_cos if args.command == "fixcos"
+             else fixtrig.paired_trace_sin)(x, eps)
     if args.trace is not None:
-        trace = (fixtrig.paired_trace_cos if cos else fixtrig.paired_trace_sin)(x, eps)
-        result = trace.result
         text = (json.dumps(fixtrig.trace_to_json_obj(trace.records), sort_keys=True, indent=2)
                 if args.trace.endswith(".json") else fixtrig.trace_to_csv(trace.records))
         _write(args.trace, text)
-    else:
-        result = (fixtrig.cos_fixpoint if cos else fixtrig.sin_fixpoint)(x, eps)
-    _emit(result.as_dict(), args.json)
+    _emit(trace.result.as_dict(), args.json)
     if args.trace is not None and not args.json:
         print(f"trace = {len(trace.records)} records -> {args.trace}")
     return EXIT_OK
@@ -218,11 +211,7 @@ def _run_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except _ConfigUnreadable as exc:
-        print(f"trigcheck: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    args = build_parser().parse_args(argv)
     try:
         code = args.run(args)
         sys.stdout.flush()

@@ -17,9 +17,9 @@ gap is at most q^2 times the previous one plus (q+1)*c and stays below
 (3/2)*step/(1-step)*(1 - q^(2k-1)); these two follow and are not checked.
 The closing checks, headline and closing-chain, cross-multiply the result's grid
 numerator with the reference's integers too, so a passing run applies no Fraction
-operator. `paired_trace_cos`/`paired_trace_sin` run the same checks; a trace only
-keeps one record per term, which holds the run's integers and builds each of its
-Fraction fields when that field is read.
+operator. Every run keeps one row of integers per term and checks their count;
+`paired_trace_cos`/`paired_trace_sin` turn the rows of that same run into records,
+each of which builds its Fraction fields when they are read.
 """
 
 from __future__ import annotations
@@ -158,26 +158,28 @@ def sin_term_count(eps: Fraction) -> int:
 def cos_fixpoint(x: FixNum, eps: FixNum) -> FixAlgoResult:
     """Fix-point cosine for |x| <= 1, certified at runtime within error_bound(n, step,
     eps) of the exact-series reference after each gap check of paired_trace_cos."""
-    return _run(x, eps, odd=False, with_trace=False).result
+    return _run(x, eps, odd=False)[0]
 
 
 def sin_fixpoint(x: FixNum, eps: FixNum) -> FixAlgoResult:
     """Fix-point sine analog of cos_fixpoint."""
-    return _run(x, eps, odd=True, with_trace=False).result
+    return _run(x, eps, odd=True)[0]
 
 
 def paired_trace_cos(x: FixNum, eps: FixNum) -> PairedTrace:
-    """cos_fixpoint's run, with the exact and fix-point loops in lockstep, keeping
-    one TraceRecord per accumulated term (iterations 1 .. n-1). Each gap is
-    checked as it is made, on every run, and a failure raises BoundViolation
+    """cos_fixpoint's run, with the exact and fix-point loops in lockstep, and its
+    rows as one TraceRecord per accumulated term (iterations 1 .. n-1). Each gap
+    is checked as it is made, on every run, and a failure raises BoundViolation
     rather than returning a trace that looks healthy.
     """
-    return _run(x, eps, odd=False, with_trace=True)
+    result, rows = _run(x, eps, odd=False)
+    return PairedTrace([TraceRecord(*row) for row in rows], result)
 
 
 def paired_trace_sin(x: FixNum, eps: FixNum) -> PairedTrace:
     """Sine analog of paired_trace_cos."""
-    return _run(x, eps, odd=True, with_trace=True)
+    result, rows = _run(x, eps, odd=True)
+    return PairedTrace([TraceRecord(*row) for row in rows], result)
 
 
 def _past_cap(gap: tuple[int, int], prev: tuple[int, int], k: int) -> bool:
@@ -212,7 +214,8 @@ def _fix_heads(x: FixNum, eps: FixNum, odd: bool) -> Iterator[tuple]:
         raise
 
 
-def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
+def _run(x: FixNum, eps: FixNum, odd: bool) -> tuple[FixAlgoResult, list[tuple]]:
+    """The checked run's result and its rows, each the 14 ints of one TraceRecord."""
     if not isinstance(x, FixNum) or not isinstance(eps, FixNum):
         raise TypeError("x and eps must be FixNum values")
     fmt = x.fmt
@@ -246,15 +249,14 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
     # no gap-step check: half-gap at k-1 and half-gap-step at k compose into it
     # no gap-chain check: first-gap at k = 1, then its bound meets gap-step's exactly
 
-    records: list[TraceRecord] = []
+    rows: list[tuple] = []
     for k, epfp, tcfp, accfp, tcfp_half in _fix_heads(x, eps, odd):
         if k > 1:
             half_n, half_d = tn * p, d * q * (2 * k + shift - 1)  # exact half step half_n/half_d
             half_gap = (tcfp_half.m * half_d - half_n * fmt.k, fmt.k * half_d)
             if _past_cap(half_gap, gap, fmt.k):
                 raise BoundViolation("half-gap", k=k - 1)
-            if with_trace:
-                records.append(TraceRecord(*head, half_d, half_n, tcfp_half.m, half_gap[0]))
+            rows.append((*head, half_d, half_n, tcfp_half.m, half_gap[0]))
         fact_eps_m = math.factorial(2 * k + shift) * eps.m  # (2k+s)! * eps in steps
         _invariant(epfp.m == fact_eps_m, name,
                    "counter stays an exact factorial multiple of eps")
@@ -270,8 +272,7 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
             raise BoundViolation("first-gap", k=1, detail=f"{Fraction(*gap)}")
         if k > 1 and _past_cap(gap, half_gap, fmt.k):
             raise BoundViolation("half-gap-step", k=k)
-        if with_trace:
-            head = (k, fmt.k, d, tn, a, tcfp.m, accfp.m, gap[0], sign * fact_eps_m, epfp.m)
+        head = (k, fmt.k, d, tn, a, tcfp.m, accfp.m, gap[0], sign * fact_eps_m, epfp.m)
 
     n = k
     _invariant(n == n_goal, name, "final n equals the minimal stop count")
@@ -286,16 +287,15 @@ def _run(x: FixNum, eps: FixNum, odd: bool, with_trace: bool) -> PairedTrace:
         raise BoundViolation("headline", detail=(
             f"{name}: observed {to_decimal(observed, DECIMALS)} > cap "
             f"{to_decimal(bound + slack, DECIMALS)} for x={rat_str(x_r)} eps={rat_str(eps_r)}"))
-    if with_trace and len(records) != n - 1:
-        raise InvariantViolation(
-            f"trace holds {len(records)} records, expected n-1 = {n - 1}")
+    if len(rows) != n - 1:
+        raise InvariantViolation(f"trace holds {len(rows)} records, expected n-1 = {n - 1}")
     # chain + slack = 3/(4k) + (n-2)*3/(2(k-1)) + eps + eps/div, over 4*div*k*(k-1)
     chain = div * (3 * (fmt.k - 1) + 6 * fmt.k * (n - 2)) + 4 * (fmt.k - 1) * (div + 1) * eps.m
     if n >= 2 and 4 * div * (fmt.k - 1) * miss > chain * rd:
         raise BoundViolation("closing-chain", detail=(
             f"observed {to_decimal(Fraction(miss, fmt.k * rd), DECIMALS)} > "
             f"{to_decimal(Fraction(chain, 4 * div * fmt.k * (fmt.k - 1)), DECIMALS)}"))
-    return PairedTrace(records, FixAlgoResult(accfp, n, bound))
+    return FixAlgoResult(accfp, n, bound), rows
 
 
 def trace_to_csv(records: list[TraceRecord]) -> str:

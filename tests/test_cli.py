@@ -208,7 +208,7 @@ def test_config_given_with_an_equals_sign(tmp_path, capsys):
 
 
 def test_missing_config_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "--config", "/nonexistent/path.cfg", "pi", "--eps", "1")
+    code, _, err = usage_error(capsys, "--config", "/nonexistent/path.cfg", "pi", "--eps", "1")
     assert code == 1
     assert "config" in err
 
@@ -216,7 +216,8 @@ def test_missing_config_is_usage_error(capsys):
 def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_bytes(b"x=\xff\n")
-    code, out, err = run_cli(capsys, "--config", str(config), "cos", "--x", "1", "--eps", "1/2")
+    code, out, err = usage_error(capsys, "--config", str(config), "cos", "--x", "1",
+                                 "--eps", "1/2")
     assert code == 1
     assert out == ""
     assert err.startswith("trigcheck: cannot read config: 'utf-8' codec can't decode byte 0xff")
@@ -284,7 +285,7 @@ def test_config_with_an_unknown_key_is_usage_error(tmp_path, capsys):
 
 
 def test_config_that_is_a_directory_is_usage_error(tmp_path, capsys):
-    code, out, err = run_cli(capsys, "--config", str(tmp_path), "pi", "--eps", "1/2")
+    code, out, err = usage_error(capsys, "--config", str(tmp_path), "pi", "--eps", "1/2")
     assert (code, out) == (1, "")
     assert err.startswith("trigcheck: cannot read config: [Errno 21] Is a directory")
     assert err.count("\n") == 1

@@ -331,6 +331,26 @@ def test_a_trace_builds_no_fraction_for_its_records(traced, untraced, eps):
     assert _fractions_built(traced, x, eps) == _fractions_built(untraced, x, eps)
 
 
+@pytest.mark.parametrize("fmt_text", SWEEP_FORMATS)
+@pytest.mark.parametrize("run,traced", [(cos_fixpoint, False), (sin_fixpoint, False),
+                                        (paired_trace_cos, True), (paired_trace_sin, True)])
+def test_only_a_paired_trace_builds_records(fmt_text, run, traced, monkeypatch):
+    # every run keeps its rows as ints; only paired_trace_* turn them into records
+    built = []
+
+    class CountingRecord(fixtrig.TraceRecord):
+        def __init__(self, *values):
+            built.append(values)
+            super().__init__(*values)
+    monkeypatch.setattr(fixtrig, "TraceRecord", CountingRecord)
+    fmt = FixFormat.parse(fmt_text)
+    eps = FixNum(max(1, round(fmt.k / 1000)), fmt)  # the step nearest 1/1000
+    out = run(fmt.from_rat(Fraction(-7, 10)), eps)
+    n = out.result.n if traced else out.n
+    assert n >= 3
+    assert len(built) == (n - 1 if traced else 0)
+
+
 def test_trace_records_hold_ints_and_build_fractions_on_read():
     trace = paired_trace_sin(K2_40.from_rat(Fraction(3, 4)), K2_40.from_rat(Fraction(1, 2**30)))
     assert len(trace.records) == 5
@@ -646,8 +666,8 @@ def test_trace_count_check_is_live(monkeypatch):
                 yield head
     monkeypatch.setattr(fixtrig, "_fix_heads", head_2_twice)
     fmt = FixFormat.parse("1/65536:[-8,64]")
-    assert cos_fixpoint(fmt.exact(Fraction(0)), fmt.exact(Fraction(1, 4096))).n == 4
-    for run, n in ((paired_trace_cos, 4), (paired_trace_sin, 3)):
+    for run, n in ((cos_fixpoint, 4), (paired_trace_cos, 4), (sin_fixpoint, 3),
+                   (paired_trace_sin, 3)):
         assert _first_invariant(run, fmt, Fraction(0), Fraction(1, 4096)) == (
             f"trace holds {n} records, expected n-1 = {n - 1}")
 

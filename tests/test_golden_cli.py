@@ -114,6 +114,9 @@ CASES = {
     "exit1-verify-samples-not-int": (["verify", "--suite", "bounds", "--samples", "2.5"],
                                      None, None),
     "exit1-repro-table1-cap-zero": (["repro-table1", "--cap", "0"], None, None),
+    # a --config file that cannot be read: one line, exit 1, as for any usage error
+    "exit1-config-missing": (["--config", "missing.cfg", "pi", "--eps", "1/2"], None, None),
+    "exit1-config-is-a-directory": (["--config", ".", "pi", "--eps", "1/2"], None, None),
 }
 
 
